@@ -42,6 +42,8 @@ from .induction import (
 from .interpolation import FatPointConfig, deficiency_table
 from .veronese import VeroneseChart, secant_dimension
 
+MAX_DEGREE_RANGE = 100_000  # degrees one --deg lo..hi may span
+
 
 def _parse_weights(text: str) -> Weights:
     try:
@@ -58,6 +60,8 @@ def _parse_degrees(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError("empty range")
+            if hi - lo + 1 > MAX_DEGREE_RANGE:
+                raise ValueError(f"more than {MAX_DEGREE_RANGE} degrees")
             return list(range(lo, hi + 1))
         return [int(text)]
     except ValueError as err:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .grading import Weights, count_monomials, enumerate_monomials
 from .ideals import WeightedPoint
 from .linalg import (
+    group_ranks_exact,
     group_ranks_mod_p,
     is_probable_prime,
     random_prime,
@@ -203,11 +204,7 @@ class EvaluationMatrix:
             return [0] * len(self.multiplicities)
         if self.prime is not None:
             return group_ranks_mod_p(self.rows, self.prime, self.group_sizes())
-        ranks, acc = [], 0
-        for size in self.group_sizes():
-            acc += size
-            ranks.append(rank_exact(self.rows[:acc]))
-        return ranks
+        return group_ranks_exact(self.rows, self.group_sizes())
 
 
 def _point_rows(weights: Weights, degree: int, basis, coords, multiplicity: int, prime):

@@ -1,9 +1,18 @@
 """Exact linear algebra: ranks mod p, fraction-free ranks over Q, determinants.
 
-Everything here is exact.  Matrices are lists of row lists.  Over a prime
-field the entries are ints in [0, p); over Q they are ints or Fractions.
+Everything here is exact.  Matrices are lists of row lists of ints (any
+sign; the mod-p routines reduce them) or, over Q, ints and Fractions.
+Both fields share one shape of elimination: an online row echelon that
+records the rank after each group of rows (``group_ranks_mod_p``,
+``group_ranks_exact``), so one pass serves every leading sub-configuration.
+
 The mod-p path is the workhorse (ranks of evaluation matrices at random
-points); the rational path is the fallback oracle and the determinant
+points).  It packs each row into a single Python int with one fixed-width
+slot per column, so a reduction step is one C-level bigint multiply-add
+rather than a Python loop over the row.  A slot holds at least
+2*bits(p) + bits(min(nrows, ncols) + 1) bits, rounded up to whole bytes,
+which is enough for every pivot step a row can meet before it is reduced
+mod p again.  The rational path is the fallback oracle and the determinant
 route for the 6x6 identity checks.
 """
 
@@ -50,7 +59,7 @@ def random_prime(rng, lo: int, hi: int, avoid=frozenset()) -> int:
 
 def rank_mod_p(rows, p: int) -> int:
     """Rank of an integer matrix over F_p."""
-    return group_ranks_mod_p(rows, p, [len(rows)])[-1] if rows else 0
+    return group_ranks_mod_p(rows, p, [len(rows)])[-1]
 
 
 def group_ranks_mod_p(rows, p: int, group_sizes) -> list[int]:
@@ -60,22 +69,53 @@ def group_ranks_mod_p(rows, p: int, group_sizes) -> list[int]:
     current rank is recorded.  One elimination pass therefore yields the
     ranks of all leading-row submatrices cut at the group boundaries, which
     is what incremental point-count scans need.
+
+    Each row is packed into one Python int with one slot of ``nb`` bytes per
+    column (Kronecker substitution), big-endian: column 0 is the most
+    significant slot, so a normalized echelon row, zero left of its pivot,
+    is a short int.  Entries are reduced mod p before packing, so every
+    slot starts in [0, p).  Reducing by an echelon row whose pivot slot
+    holds f is the single bigint multiply-add ``w += (p - f) * pivot_row``;
+    no slot is reduced mod p in between.  After its last reduction a row is
+    unpacked and reduced once; if a pivot is left, the normalized row is
+    repacked and appended.  Once the rank reaches the column count every
+    later row is dependent and is skipped.
     """
-    echelon = []  # (pivot column, normalized row)
+    ncols = len(rows[0]) if rows else 0
+    # Slot invariant: a slot starts below p and each of the at most
+    # min(nrows, ncols) reductions adds (p - f) * y <= (p - 1)**2, so it stays
+    # below (min(nrows, ncols) + 1) * p**2 < 2**bits.  If this ever breaks,
+    # to_bytes raises OverflowError once the carry reaches the top slot.
+    bits = 2 * p.bit_length() + (min(len(rows), ncols) + 1).bit_length()
+    nb = (bits + 7) // 8
+    width = 8 * nb
+    mask = (1 << width) - 1
+    nbytes = nb * ncols
+    top = (ncols - 1) * width
+    echelon = []  # (bit offset of the pivot slot, packed normalized row)
     ranks = []
     idx = 0
     for size in group_sizes:
-        for _ in range(size):
-            row = [x % p for x in rows[idx]]
-            idx += 1
-            for pc, er in echelon:
-                f = row[pc]
-                if f:
-                    row = [(x - f * y) % p for x, y in zip(row, er)]
-            pc = next((j for j, x in enumerate(row) if x), None)
-            if pc is not None:
-                inv = pow(row[pc], -1, p)
-                echelon.append((pc, [x * inv % p for x in row]))
+        if len(echelon) < ncols:
+            for row in rows[idx:idx + size]:
+                vals = [x % p for x in row]
+                if echelon:
+                    w = int.from_bytes(b"".join([x.to_bytes(nb, "big") for x in vals]), "big")
+                    for shift, packed in echelon:
+                        f = ((w >> shift) & mask) % p
+                        if f:
+                            w += (p - f) * packed
+                    buf = w.to_bytes(nbytes, "big")
+                    vals = [int.from_bytes(buf[i:i + nb], "big") % p for i in range(0, nbytes, nb)]
+                for pc, x in enumerate(vals):
+                    if x:
+                        inv = pow(x, -1, p)
+                        packed = b"".join([(y * inv % p).to_bytes(nb, "big") for y in vals])
+                        echelon.append((top - pc * width, int.from_bytes(packed, "big")))
+                        break
+                if len(echelon) == ncols:
+                    break
+        idx += size
         ranks.append(len(echelon))
     return ranks
 
@@ -93,26 +133,38 @@ def _primitive_integer_row(row):
 
 
 def rank_exact(rows) -> int:
-    """Rank over Q by fraction-free elimination.
+    """Rank over Q; the last checkpoint of :func:`group_ranks_exact`."""
+    return group_ranks_exact(rows, [len(rows)])[-1]
 
-    Rows are scaled to primitive integer vectors; elimination uses the
+
+def group_ranks_exact(rows, group_sizes) -> list[int]:
+    """Online fraction-free row echelon over Q with rank checkpoints.
+
+    The rational counterpart of :func:`group_ranks_mod_p`: after each group
+    of ``group_sizes[k]`` rows the current rank is recorded.  Rows are
+    scaled to primitive integer vectors; elimination uses the
     cross-multiplication update (pivot*row - lead*pivot_row), re-dividing
     by the content after each step, so no Fraction arithmetic happens in
     the inner loop.
     """
     echelon = []
-    for row in rows:
-        row = _primitive_integer_row(row)
-        for pc, er in echelon:
-            f = row[pc]
-            if f:
-                lead = er[pc]
-                row = [lead * x - f * y for x, y in zip(row, er)]
-                row = _primitive_integer_row(row)
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is not None:
-            echelon.append((pc, row))
-    return len(echelon)
+    ranks = []
+    idx = 0
+    for size in group_sizes:
+        for row in rows[idx:idx + size]:
+            row = _primitive_integer_row(row)
+            for pc, er in echelon:
+                f = row[pc]
+                if f:
+                    lead = er[pc]
+                    row = [lead * x - f * y for x, y in zip(row, er)]
+                    row = _primitive_integer_row(row)
+            pc = next((j for j, x in enumerate(row) if x), None)
+            if pc is not None:
+                echelon.append((pc, row))
+        idx += size
+        ranks.append(len(echelon))
+    return ranks
 
 
 def det_exact(rows) -> Fraction:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wpinterp import certificate_from_json, check_certificate
-from wpinterp.cli import main
+from wpinterp.cli import MAX_DEGREE_RANGE, _parse_degrees, main
 
 WARN_23 = (
     "warning: weights (2, 3) are not well formed; "
@@ -208,6 +208,17 @@ def test_mult_points_disagreement_is_usage_error(capsys):
         main(["ah-check", "--weights", "1,2,3", "--deg", "6", "--points", "2",
               "--mult", "2,2,2"])
     assert exc.value.code == 2
+
+
+def test_huge_degree_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--weights", "1,2,3", "--deg", "0..1000000000"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"more than {MAX_DEGREE_RANGE} degrees" in err
+    widest = _parse_degrees(f"5..{MAX_DEGREE_RANGE + 4}")
+    assert len(widest) == MAX_DEGREE_RANGE
+    assert widest[0] == 5 and widest[-1] == MAX_DEGREE_RANGE + 4
 
 
 def test_small_prime_is_reported(capsys):

@@ -252,6 +252,19 @@ def test_exact_and_modular_ranks_agree():
         assert exact.actual == sampled.actual == fixed.actual
 
 
+def test_exact_group_ranks_are_prefix_ranks():
+    # one fraction-free pass must reproduce the rank of every leading block
+    for w, d, mults in [(W123, 8, (2,) * 5), (W123, 12, (3, 2, 2, 1)), (Weights((1, 1, 1)), 4, (2,) * 5)]:
+        cfg = FatPointConfig(w, mults, field="exact", seed=3)
+        mat = build_evaluation_matrix(cfg, d)
+        want, cut = [], 0
+        for size in mat.group_sizes():
+            cut += size
+            want.append(rank_exact(mat.rows[:cut]))
+        assert mat.group_ranks() == want
+        assert want[-1] == mat.rank()
+
+
 def test_two_fixed_primes_agree():
     p1 = (1 << 61) - 1
     p2 = (1 << 31) - 1

@@ -5,9 +5,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
+from wpinterp.interpolation import PRIME_HIGH
 from wpinterp.linalg import (
     det_exact,
+    group_ranks_exact,
     group_ranks_mod_p,
     is_probable_prime,
     nullspace_exact,
@@ -17,6 +23,8 @@ from wpinterp.linalg import (
 )
 
 BIG_PRIME = (1 << 61) - 1
+TOP_PRIME = PRIME_HIGH - 57  # the largest prime below PRIME_HIGH = 2**62
+PRIMES = (2, 3, (1 << 31) - 1, BIG_PRIME, TOP_PRIME)
 
 
 def permutation_det(rows):
@@ -124,6 +132,150 @@ def test_group_ranks_are_prefix_ranks():
             cut += size
             assert got == rank_exact(rows[:cut])
         assert ranks == sorted(ranks)
+
+
+def test_group_ranks_exact_are_prefix_ranks():
+    rng = random.Random(23)
+    for _ in range(30):
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+        rows = random_matrix(rng, sum(sizes), rng.randint(1, 6), with_fractions=True)
+        if rng.random() < 0.5 and len(rows) > 1:
+            rows[-1] = rows[0]
+        ranks = group_ranks_exact(rows, sizes)
+        cut = 0
+        for size, got in zip(sizes, ranks):
+            cut += size
+            assert got == rank_exact(rows[:cut]) == gauss_rank(rows[:cut])
+    assert group_ranks_exact([], [0, 0]) == [0, 0]
+    assert group_ranks_exact([], []) == []
+
+
+def list_group_ranks_mod_p(rows, p, group_sizes):
+    """The list-of-ints kernel the packed one replaced, kept as a reference."""
+    echelon = []  # (pivot column, normalized row)
+    ranks = []
+    idx = 0
+    for size in group_sizes:
+        for _ in range(size):
+            row = [x % p for x in rows[idx]]
+            idx += 1
+            for pc, er in echelon:
+                f = row[pc]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, er)]
+            pc = next((j for j, x in enumerate(row) if x), None)
+            if pc is not None:
+                inv = pow(row[pc], -1, p)
+                echelon.append((pc, [x * inv % p for x in row]))
+        ranks.append(len(echelon))
+    return ranks
+
+
+def sympy_rank(rows, p):
+    """Rank over GF(p) by sympy's DomainMatrix, an independent oracle."""
+    if not rows or not rows[0]:
+        return 0
+    field = GF(p)
+    return DomainMatrix([[field(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), field).rank()
+
+
+def low_rank_matrix(rng, nrows, ncols, rank, p):
+    """Random rows drawn from the span of ``rank`` random rows."""
+    span = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coef = [rng.randrange(p) for _ in span]
+        rows.append([sum(c * v[j] for c, v in zip(coef, span)) % p for j in range(ncols)])
+    return rows
+
+
+def split_sizes(rng, total):
+    """Group sizes summing to ``total``, zeros included."""
+    sizes = []
+    while total:
+        size = rng.randint(0, min(total, 4))
+        sizes.append(size)
+        total -= size
+    return sizes + [0] * rng.randint(0, 2)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_matches_list_kernel_and_sympy(p):
+    assert is_probable_prime(p)
+    rng = random.Random(p)
+    shapes = [(12, 4), (4, 12), (9, 9), (1, 7), (7, 1), (30, 25), (25, 40)]
+    for nrows, ncols in shapes:
+        for rank in {0, 1, min(nrows, ncols) // 2, min(nrows, ncols)}:
+            rows = low_rank_matrix(rng, nrows, ncols, rank, p)
+            sizes = split_sizes(rng, nrows)
+            got = group_ranks_mod_p(rows, p, sizes)
+            assert got == list_group_ranks_mod_p(rows, p, sizes), (nrows, ncols, rank)
+            assert got[-1] == sympy_rank(rows, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_edge_shapes(p):
+    rng = random.Random(-p)
+    row = [rng.randrange(p) for _ in range(6)]
+    other = [rng.randrange(p) for _ in range(6)]
+    zero = [0] * 6
+    cases = [
+        ([row, row, row], [1, 1, 1]),  # duplicate rows
+        ([zero, row, zero, other, row], [2, 0, 3]),  # zero rows and an empty group
+        ([zero, zero], [2]),
+        ([[p - 1] * 6 for _ in range(4)], [4]),  # every slot starts at its maximum
+        ([[0], [1], [0]], [1, 1, 1]),
+    ]
+    for rows, sizes in cases:
+        got = group_ranks_mod_p(rows, p, sizes)
+        assert got == list_group_ranks_mod_p(rows, p, sizes)
+        assert got[-1] == sympy_rank(rows, p)
+    assert group_ranks_mod_p([], p, []) == []
+    assert group_ranks_mod_p([], p, [0, 0]) == [0, 0]
+    assert group_ranks_mod_p([[], []], p, [1, 1]) == [0, 0]
+    assert rank_mod_p([], p) == 0
+
+
+def test_packed_kernel_on_wide_slot_growth():
+    # A full-rank square matrix makes every row meet every earlier pivot, so
+    # the unreduced slots grow the most the width bound allows for.
+    rng = random.Random(29)
+    for n in (40, 90):
+        rows = [[rng.randrange(TOP_PRIME) for _ in range(n)] for _ in range(n)]
+        assert group_ranks_mod_p(rows, TOP_PRIME, [n]) == [n]
+        assert group_ranks_mod_p(rows, TOP_PRIME, [n // 2, n - n // 2]) == \
+            list_group_ranks_mod_p(rows, TOP_PRIME, [n // 2, n - n // 2])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernel_reduces_unreduced_and_negative_entries(p):
+    rng = random.Random(31 + p)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.randint(-(p << 70), p << 70) for _ in range(ncols)] for _ in range(nrows)]
+        reduced = [[x % p for x in row] for row in rows]
+        sizes = split_sizes(rng, nrows)
+        assert group_ranks_mod_p(rows, p, sizes) == list_group_ranks_mod_p(reduced, p, sizes)
+    assert rank_mod_p([[-1, 1], [1, -1]], p) == 1
+    assert rank_mod_p([[-1, 0], [0, -p - 1]], p) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    ncols=st.integers(1, 6),
+    data=st.data(),
+)
+def test_group_ranks_monotone_and_last_is_rank(p, ncols, data):
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    row = st.lists(st.integers(-3 * p, 3 * p), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=sum(sizes), max_size=sum(sizes)))
+    ranks = group_ranks_mod_p(rows, p, sizes)
+    assert len(ranks) == len(sizes)
+    assert ranks == sorted(ranks)
+    assert ranks[-1] == rank_mod_p(rows, p)
+    assert ranks[-1] <= min(len(rows), ncols)
 
 
 def test_nullspace_exact():
