@@ -261,3 +261,64 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.strip() == "wpinterp 0.1.0"
+
+
+# Golden outputs: one stdout file per command line under tests/golden/, plus
+# the exit codes in tests/golden/exit_codes.json.
+GOLDEN_DIR = __import__("pathlib").Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "hilbert": ["hilbert", "--weights", "1,2,3", "--deg", "0..12"],
+    "ah-check": ["ah-check", "--weights", "1,5,9", "--deg", "19..23", "--points", "3",
+                 "--seed", "1"],
+    "ah-check-exact": ["ah-check", "--weights", "1,2,3", "--deg", "6..8", "--points", "2",
+                       "--exact"],
+    "ah-check-prime": ["ah-check", "--weights", "1,2,3", "--deg", "6..8", "--points", "3",
+                       "--prime", "1000003"],
+    "terracini-trace": ["terracini-trace", "--weights", "1,2,3", "--deg", "14",
+                        "--points", "8"],
+    "terracini-trace-candidates": ["terracini-trace", "--weights", "1,1,2", "--deg", "6",
+                                   "--points", "3"],
+    "terracini-trace-fail": ["terracini-trace", "--weights", "1,1,1", "--deg", "4",
+                             "--points", "5"],
+    "point-ideal": ["point-ideal", "--weights", "1,2,3", "--point", "1,1/2,3"],
+    "herzog": ["herzog", "--weights", "3,4,5"],
+    "secant-dim": ["secant-dim", "--weights", "1,2,3", "--deg", "8", "--rank", "3"],
+    "bound-check": ["bound-check", "--weights", "1,2,3", "--deg", "28..32"],
+    "verify-suite": ["verify-suite", "--max-deg", "3000", "--max-bc", "4"],
+}
+GOLDEN_CASES = [
+    (f"{name}.{fmt}", argv + ["--format", fmt])
+    for name, argv in GOLDEN_COMMANDS.items()
+    for fmt in ("text", "csv", "json")
+]
+
+
+def regenerate_goldens():
+    """Rewrite every golden file from the current code."""
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in GOLDEN_CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            codes[name] = main(argv)
+        (GOLDEN_DIR / name).write_text(buf.getvalue())
+    (GOLDEN_DIR / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_golden_output(capsys, name, argv):
+    """stdout and exit code match tests/golden/ byte for byte.
+
+    Regenerate every golden file with: PYTHONPATH=src python tests/test_cli.py
+    """
+    code, out, _ = run(capsys, argv)
+    codes = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert out == (GOLDEN_DIR / name).read_text()
+
+
+if __name__ == "__main__":
+    regenerate_goldens()
