@@ -32,7 +32,6 @@ from .ideals import (
 from .induction import (
     CertificateError,
     build_certificate,
-    certificate_to_json,
     chandler_inequality,
     check_certificate,
     numeric_facts_verify,
@@ -114,23 +113,6 @@ def _meta(args, command: str, weights: Weights | None) -> dict:
     return meta
 
 
-def _emit(args, lines: list[str]):
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _preamble(meta: dict) -> list[str]:
-    lines = [f"# wpinterp {meta['version']}"]
-    for key, value in meta.items():
-        if key != "version":
-            lines.append(f"# {key}: {value}")
-    return lines
-
-
 def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(h) for h in header]
     for row in rows:
@@ -149,25 +131,50 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def _emit_table(args, meta: dict, header: list[str], rows: list[list[str]], payload: dict):
-    if args.format == "json":
-        _emit(args, [json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        lines = _preamble(meta)
-        lines.append(",".join(_csv_cell(h) for h in header))
-        lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-        _emit(args, lines)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(str(x) for x in value)
+    return str(value)
+
+
+def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
+    """Write a command's output in the chosen format, to --output or stdout.
+
+    JSON prints ``body`` under the schema tag and ``meta``.  CSV prints the
+    ``meta`` preamble, then ``columns`` (default: the keys of the first
+    record) and one row per record; a record without a column leaves its
+    cell empty.  Text prints the preamble and the ``text`` lines, or the
+    aligned table when no lines are given.  A format whose own payload is
+    None prints the preamble and ``text`` instead, which is how FAIL lines
+    reach every format.  Payloads may be zero-argument callables, so only
+    the chosen one is built.
+    """
+    fmt = args.format
+    if fmt == "json" and body is not None:
+        body = body() if callable(body) else body
+        lines = [json.dumps({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body}, indent=2)]
     else:
-        lines = _preamble(meta)
-        lines.extend(_text_table(header, rows))
-        _emit(args, lines)
-
-
-def _json_envelope(meta: dict, command: str, body: dict) -> dict:
-    out = {"schema": f"wpinterp/{command}/v1"}
-    out.update(meta)
-    out.update(body)
-    return out
+        lines = [f"# wpinterp {meta['version']}"]
+        lines += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
+        if text is not None and (fmt != "csv" or records is None):
+            lines += text() if callable(text) else text
+        else:
+            records = records() if callable(records) else records
+            columns = columns or list(records[0])
+            rows = [[_cell(rec.get(c, "")) for c in columns] for rec in records]
+            if fmt == "csv":
+                lines.append(",".join(_csv_cell(c) for c in columns))
+                lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+            else:
+                lines.extend(_text_table(columns, rows))
+    out = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _warn_not_well_formed(weights: Weights):
@@ -179,31 +186,23 @@ def _warn_not_well_formed(weights: Weights):
         )
 
 
-def _bool(x) -> str:
-    return "true" if x else "false"
-
-
 def cmd_hilbert(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
-    meta = _meta(args, "hilbert", w)
-    header = ["d", "s_d", "source"]
     rows = []
-    body_rows = []
     for d in args.deg:
         closed = hilbert_closed_form(w, d)
         value = count_monomials(w, d) if closed is None else closed
-        source = "dp" if closed is None else "closed-form"
-        rows.append([str(d), str(value), source])
-        body_rows.append({"d": d, "s_d": value, "source": source})
-    payload = _json_envelope(meta, "hilbert", {"rows": body_rows})
-    _emit_table(args, meta, header, rows, payload)
+        rows.append({"d": d, "s_d": value, "source": "dp" if closed is None else "closed-form"})
+    _render(args, _meta(args, "hilbert", w), {"rows": rows}, records=rows)
     return 0
 
 
 def cmd_ah_check(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
+    if args.points is not None and args.points < 0:
+        raise argparse.ArgumentTypeError("--points must be nonnegative")
     if args.mult is not None and len(args.mult) > 1:
         mults = args.mult
         if args.points is not None and args.points != len(mults):
@@ -214,30 +213,9 @@ def cmd_ah_check(args) -> int:
         m = args.mult[0] if args.mult else 2
         mults = (m,) * args.points
     cfg = FatPointConfig(w, mults, field=_field_of(args), seed=args.seed, trials=args.trials)
-    profiles = deficiency_table(cfg, args.deg, workers=args.workers)
-    meta = _meta(args, "ah-check", w)
-    wtxt = ",".join(str(a) for a in w)
-    header = ["weights", "r", "d", "s_d", "expected", "actual", "deficiency", "is_AH", "trials"]
-    rows = [
-        [
-            wtxt,
-            str(p.r),
-            str(p.degree),
-            str(p.s_d),
-            str(p.expected),
-            str(p.actual),
-            str(p.deficiency),
-            _bool(p.is_AH),
-            str(p.trials),
-        ]
-        for p in profiles
-    ]
-    payload = _json_envelope(
-        meta,
-        "ah-check",
-        {"multiplicities": list(mults), "rows": [p.to_json_dict() for p in profiles]},
-    )
-    _emit_table(args, meta, header, rows, payload)
+    rows = [p.to_json_dict() for p in deficiency_table(cfg, args.deg)]
+    body = {"multiplicities": list(mults), "rows": rows}
+    _render(args, _meta(args, "ah-check", w), body, records=rows)
     return 0
 
 
@@ -271,6 +249,15 @@ def _render_certificate(node, indent: int = 0) -> list[str]:
     return lines
 
 
+def _certificate_records(node, path: str = "root"):
+    rec = {"path": path, "kind": node.kind, "d": node.d, "r": node.r}
+    if node.choice:
+        rec.update(node.choice.to_json_dict())
+    yield rec
+    for k, child in enumerate(node.children):
+        yield from _certificate_records(child, f"{path}/{k}")
+
+
 def cmd_terracini_trace(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
@@ -279,88 +266,55 @@ def cmd_terracini_trace(args) -> int:
     d = args.deg[0]
     r = args.points
     meta = _meta(args, "terracini-trace", w)
-    if tuple(w) == (1, 2, 3):
-        try:
-            cert = build_certificate(w, d, r, seed=args.seed, trials=args.trials)
-        except CertificateError as err:
-            if args.format == "json":
-                payload = _json_envelope(
-                    meta, "terracini-trace", {"d": d, "r": r, "ok": False, "error": str(err)}
-                )
-                _emit(args, [json.dumps(payload, indent=2)])
-            else:
-                _emit(args, _preamble(meta) + [f"FAIL d={d} r={r}: {err}"])
-            return 1
-        failures: list[str] = []
-        ok = check_certificate(cert, failures)
-        if args.format == "json":
-            payload = _json_envelope(
-                meta,
-                "terracini-trace",
-                {
-                    "d": d,
-                    "r": r,
-                    "ok": ok,
-                    "failures": failures,
-                    "certificate": json.loads(certificate_to_json(cert))["root"],
-                },
-            )
-            _emit(args, [json.dumps(payload, indent=2)])
-        elif args.format == "csv":
-            header = ["path", "kind", "d", "r", "weight", "q", "direction"]
-            rows = []
+    if tuple(w) != (1, 2, 3):
+        return _trace_candidates(args, meta, w, d, r)
+    try:
+        cert = build_certificate(w, d, r, seed=args.seed, trials=args.trials)
+    except CertificateError as err:
+        body = {"d": d, "r": r, "ok": False, "error": str(err)}
+        _render(args, meta, body, text=[f"FAIL d={d} r={r}: {err}"])
+        return 1
+    failures: list[str] = []
+    ok = check_certificate(cert, failures)
+    verdict = "accepted" if ok else "rejected"
+    _render(
+        args,
+        meta,
+        lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert.to_json_dict()},
+        ["path", "kind", "d", "r", "weight", "q", "direction"],
+        lambda: [*_certificate_records(cert), {"path": "check", "direction": verdict}],
+        lambda: _render_certificate(cert)
+        + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
+    )
+    return 0 if ok else 1
 
-            def walk(node, path):
-                ch = node.choice
-                rows.append(
-                    [
-                        path,
-                        node.kind,
-                        str(node.d),
-                        str(node.r),
-                        str(ch.weight) if ch else "",
-                        str(ch.q) if ch else "",
-                        ch.direction if ch else "",
-                    ]
-                )
-                for k, child in enumerate(node.children):
-                    walk(child, f"{path}/{k}")
 
-            walk(cert, "root")
-            rows.append(["check", "", "", "", "", "", "accepted" if ok else "rejected"])
-            _emit_table(args, meta, header, rows, {})
-        else:
-            lines = _preamble(meta)
-            lines.extend(_render_certificate(cert))
-            lines.append("checker: " + ("accepted" if ok else "rejected: " + "; ".join(failures)))
-            _emit(args, lines)
-        return 0 if ok else 1
+def _trace_candidates(args, meta: dict, w: Weights, d: int, r: int) -> int:
     candidates = terracini_candidates(w, d, r)
-    body = {
-        "d": d,
-        "r": r,
-        "candidates": [c.to_json_dict() for c in candidates],
-        "note": "certificate construction is implemented for weights (1, 2, 3) only",
-    }
-    if args.format == "json":
-        _emit(args, [json.dumps(_json_envelope(meta, "terracini-trace", body), indent=2)])
-    else:
-        lines = _preamble(meta)
-        if not candidates:
-            lines.append(f"FAIL d={d} r={r}: no specialization candidate")
-            _emit(args, lines)
-            return 1
-        lines.append(f"candidates for d={d}, r={r}:")
-        for c in candidates:
-            rec = chandler_inequality(w, d, c.weight, c.q, r)
+    note = "certificate construction is implemented for weights (1, 2, 3) only"
+    body = {"d": d, "r": r, "candidates": [c.to_json_dict() for c in candidates], "note": note}
+    if not candidates:
+        _render(args, meta, body, text=[f"FAIL d={d} r={r}: no specialization candidate"])
+        return 1
+
+    def records():
+        return [
+            dict(c.to_json_dict(), trace_ok=chandler_inequality(w, d, c.weight, c.q, r).ok)
+            for c in candidates
+        ]
+
+    def text():
+        lines = [f"candidates for d={d}, r={r}:"]
+        for c in records():
             lines.append(
-                f"  weight {c.weight} (index {c.index}), q={c.q}, {c.direction};"
-                f" premises at d={d - c.weight} and d={d - 2 * c.weight}"
-                f" with {r - c.q} points; trace criterion {'ok' if rec.ok else 'fails'}"
+                f"  weight {c['weight']} (index {c['index']}), q={c['q']}, {c['direction']};"
+                f" premises at d={d - c['weight']} and d={d - 2 * c['weight']}"
+                f" with {r - c['q']} points; trace criterion {'ok' if c['trace_ok'] else 'fails'}"
             )
-        lines.append(body["note"])
-        _emit(args, lines)
-    return 0 if candidates else 1
+        return lines + [note]
+
+    _render(args, meta, body, records=records, text=text)
+    return 0
 
 
 def cmd_point_ideal(args) -> int:
@@ -368,28 +322,14 @@ def cmd_point_ideal(args) -> int:
     _warn_not_well_formed(w)
     point = WeightedPoint(w, args.point)
     gens = point_ideal(point)
-    meta = _meta(args, "point-ideal", w)
-    if args.format == "json":
-        payload = _json_envelope(
-            meta,
-            "point-ideal",
-            {
-                "point": [str(c) for c in point.coords],
-                "generators": [g.to_json_dict() for g in gens],
-            },
-        )
-        _emit(args, [json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        header = ["index", "degree", "generator"]
-        rows = [[str(i), str(g.degree()), str(g)] for i, g in enumerate(gens)]
-        _emit_table(args, meta, header, rows, {})
-    else:
-        lines = _preamble(meta)
-        lines.append(f"point: {point!r}")
-        lines.append(f"generators ({len(gens)}):")
-        for g in gens:
-            lines.append(f"  {g}   (degree {g.degree()})")
-        _emit(args, lines)
+    body = {
+        "point": [str(c) for c in point.coords],
+        "generators": [g.to_json_dict() for g in gens],
+    }
+    records = [{"index": i, "degree": g.degree(), "generator": str(g)} for i, g in enumerate(gens)]
+    text = [f"point: {point!r}", f"generators ({len(gens)}):"]
+    text.extend(f"  {g}   (degree {g.degree()})" for g in gens)
+    _render(args, _meta(args, "point-ideal", w), body, records=records, text=text)
     return 0
 
 
@@ -398,28 +338,20 @@ def cmd_herzog(args) -> int:
     if len(w) != 3:
         raise argparse.ArgumentTypeError("herzog needs exactly three weights")
     data = herzog_data(w[0], w[1], w[2])
-    meta = _meta(args, "herzog", w)
-    if args.format == "json":
-        payload = _json_envelope(meta, "herzog", data.to_json_dict())
-        _emit(args, [json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        header = ["a", "b", "c", "r1", "r2", "r3", "k1", "k2", "k3", "g1", "g2", "g3", "hc"]
-        a, b, c = data.weights
-        row = [str(a), str(b), str(c)] + [str(x) for x in data.r + data.k + data.g]
-        row.append(_bool(data.hc))
-        _emit_table(args, meta, header, [row], {})
-    else:
-        a, b, c = data.weights
-        lines = _preamble(meta)
-        lines.append(f"r: {','.join(map(str, data.r))}")
-        lines.append(f"k: {','.join(map(str, data.k))}")
-        lines.append(f"g: {','.join(map(str, data.g))}")
-        lines.append(f"hc: {_bool(data.hc)}")
-        lines.append("relations:")
-        lines.append(f"  {data.r[0]}*{a} = {data.k[0]}*{b} + {data.g[0]}*{c}")
-        lines.append(f"  {data.r[1]}*{b} = {data.k[1]}*{a} + {data.g[1]}*{c}")
-        lines.append(f"  {data.r[2]}*{c} = {data.k[2]}*{a} + {data.g[2]}*{b}")
-        _emit(args, lines)
+    a, b, c = data.weights
+    columns = ["a", "b", "c", "r1", "r2", "r3", "k1", "k2", "k3", "g1", "g2", "g3", "hc"]
+    record = dict(zip(columns, (a, b, c) + data.r + data.k + data.g + (data.hc,)))
+    text = [
+        f"r: {','.join(map(str, data.r))}",
+        f"k: {','.join(map(str, data.k))}",
+        f"g: {','.join(map(str, data.g))}",
+        f"hc: {_cell(data.hc)}",
+        "relations:",
+        f"  {data.r[0]}*{a} = {data.k[0]}*{b} + {data.g[0]}*{c}",
+        f"  {data.r[1]}*{b} = {data.k[1]}*{a} + {data.g[1]}*{c}",
+        f"  {data.r[2]}*{c} = {data.k[2]}*{a} + {data.g[2]}*{b}",
+    ]
+    _render(args, _meta(args, "herzog", w), data.to_json_dict(), records=[record], text=text)
     return 0
 
 
@@ -430,18 +362,9 @@ def cmd_secant_dim(args) -> int:
         raise argparse.ArgumentTypeError("secant-dim takes a single degree")
     chart = VeroneseChart(w, args.deg[0])
     report = secant_dimension(chart, args.rank, seed=args.seed, trials=args.trials, field=_field_of(args))
-    meta = _meta(args, "secant-dim", w)
-    header = ["d", "r", "expected_dim", "actual_dim", "defect", "trials"]
-    row = [
-        str(report.degree),
-        str(report.r),
-        str(report.expected_dim),
-        str(report.actual_dim),
-        str(report.defect),
-        str(report.trials),
-    ]
-    payload = _json_envelope(meta, "secant-dim", report.to_json_dict())
-    _emit_table(args, meta, header, [row], payload)
+    body = report.to_json_dict()
+    columns = ["d", "r", "expected_dim", "actual_dim", "defect", "trials"]
+    _render(args, _meta(args, "secant-dim", w), body, columns, [body])
     return 0
 
 
@@ -453,17 +376,12 @@ def cmd_bound_check(args) -> int:
     try:
         report = interpolation_bound_check(w[1], w[2], args.deg)
     except BoundViolationError as err:
-        _emit(args, _preamble(meta) + [f"FAIL: {err}"])
+        _render(args, meta, text=[f"FAIL: {err}"])
         return 1
-    header = ["d", "lhs", "rhs", "holds", "asserted"]
-    rows = [
-        [str(row.d), str(row.lhs), str(row.rhs), _bool(row.holds), _bool(row.asserted)]
-        for row in report.rows
-    ]
     meta["threshold"] = str(report.threshold)
-    meta["ratio_ok"] = _bool(report.ratio_ok)
-    payload = _json_envelope(meta, "bound-check", report.to_json_dict())
-    _emit_table(args, meta, header, rows, payload)
+    meta["ratio_ok"] = _cell(report.ratio_ok)
+    body = report.to_json_dict()
+    _render(args, meta, body, records=body["rows"])
     return 0
 
 
@@ -509,20 +427,11 @@ def cmd_verify_suite(args) -> int:
                     tri_detail = f"decomposition audit fails at b={b}, c={c}, d={d}"
     checks.append(("triangle-decomposition", tri_ok, tri_detail))
 
-    lines = _preamble(meta)
-    rows = []
-    for name, ok, det in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {det}")
-        rows.append({"check": name, "ok": ok, "detail": det})
-    if args.format == "json":
-        payload = _json_envelope(meta, "verify-suite", {"checks": rows})
-        _emit(args, [json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        header = ["check", "status", "detail"]
-        table = [[r["check"], "PASS" if r["ok"] else "FAIL", r["detail"]] for r in rows]
-        _emit_table(args, meta, header, table, {})
-    else:
-        _emit(args, lines)
+    status = {True: "PASS", False: "FAIL"}
+    body = {"checks": [{"check": name, "ok": ok, "detail": det} for name, ok, det in checks]}
+    records = [{"check": name, "status": status[ok], "detail": det} for name, ok, det in checks]
+    text = [f"{status[ok]} {name}: {det}" for name, ok, det in checks]
+    _render(args, meta, body, records=records, text=text)
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
@@ -559,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, help="number of points")
     p.add_argument("--mult", type=_parse_mults, default=None,
                    help="multiplicity (uniform) or comma list per point; default 2")
-    p.add_argument("--workers", type=int, default=1, help="threads across degrees")
     p.set_defaults(func=cmd_ah_check)
 
     p = subs.add_parser("terracini-trace", help="build and check an induction certificate")

@@ -183,15 +183,19 @@ def enumerate_monomials(w: Weights, d: int) -> list[Monomial]:
     return out
 
 
-def _two_variable_closed_form(a: int, b: int, d: int) -> int:
+def _two_variable_closed_form(a: int, b: int):
     # s_d = floor(qd/b) - floor(pd/a) with aq - bp = 1, plus 1 when a | d
     g, x, y = _ext_gcd(a, b)
     if g != 1:
         raise UnsupportedWeightsError(f"two-variable closed form needs gcd=1, got gcd({a},{b})={g}")
     q, p = x, -y  # a*q - b*p = 1
-    if d % a == 0:
-        return (q * d) // b - (p * d) // a + 1
-    return (q * d) // b - (p * d) // a
+
+    def s(d: int) -> int:
+        if d < 0:
+            return 0
+        return (q * d) // b - (p * d) // a + (d % a == 0)
+
+    return s
 
 
 def _ext_gcd(a: int, b: int):
@@ -201,25 +205,45 @@ def _ext_gcd(a: int, b: int):
     return g, y, x - (a // b) * y
 
 
-def hilbert_closed_form(w: Weights, d: int):
-    """Closed-form s_d where one exists, else None (caller falls back to DP).
+def _one_b_closed_form(b: int):
+    def s(d: int) -> int:
+        return d // b + 1 if d >= 0 else 0
+
+    return s
+
+
+def _s123(d: int) -> int:
+    return (d * d + 6 * d + 12) // 12 if d >= 0 else 0  # floor(d^2/12 + d/2 + 1)
+
+
+def closed_form(w: Weights):
+    """d -> s_d as a plain function where a closed form exists, else None.
 
     Supported: two variables (a,b) with gcd 1, the special case (1,b), and
     (1,2,3).  Everything else, including two variables with gcd > 1,
-    returns None.
+    returns None.  Each function returns 0 for d < 0.
     """
-    if d < 0:
-        return 0
     a = w.a
     if len(a) == 2:
         if a[0] == 1:
-            return d // a[1] + 1
+            return _one_b_closed_form(a[1])
         if math.gcd(a[0], a[1]) == 1:
-            return _two_variable_closed_form(a[0], a[1], d)
+            return _two_variable_closed_form(a[0], a[1])
         return None
     if a == (1, 2, 3):
-        return (d * d + 6 * d + 12) // 12  # floor(d^2/12 + d/2 + 1)
+        return _s123
     return None
+
+
+def hilbert_closed_form(w: Weights, d: int):
+    """Closed-form s_d where one exists, else None (caller falls back to DP).
+
+    Negative degrees give 0 for every weight vector.  See closed_form.
+    """
+    if d < 0:
+        return 0
+    form = closed_form(w)
+    return None if form is None else form(d)
 
 
 def semigroup_member(w: Weights, d: int) -> bool:

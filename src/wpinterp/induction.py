@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .grading import UnsupportedWeightsError, Weights, count_monomials
+from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
 from .interpolation import FatPointConfig, hilbert_fat_points, line_interpolation_formula
 
 
@@ -160,23 +160,9 @@ def chandler_inequality(weights, d: int, i: int, q: int, r: int) -> ChandlerReco
     )
 
 
-# closed forms for P(1,2,3) and its three coordinate hyperplanes
-def _s123(d: int) -> int:
-    return (d * d + 6 * d + 12) // 12 if d >= 0 else 0
-
-
-def _s23(d: int) -> int:
-    if d < 0:
-        return 0
-    return d // 6 if d % 6 == 1 else d // 6 + 1
-
-
-def _s13(d: int) -> int:
-    return d // 3 + 1 if d >= 0 else 0
-
-
-def _s12(d: int) -> int:
-    return d // 2 + 1 if d >= 0 else 0
+def _plane_123_forms():
+    """Closed forms of s_d for P(1,2,3) and its hyperplanes P(2,3), P(1,3), P(1,2)."""
+    return tuple(closed_form(Weights(w)) for w in ((1, 2, 3), (2, 3), (1, 3), (1, 2)))
 
 
 def _even_in(lo: int, hi: int) -> bool:
@@ -205,16 +191,17 @@ def teranum_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
     """
     if d_lo < 6:
         raise ValueError("the statement starts at d = 6")
+    s123, s23, s13, s12 = _plane_123_forms()
     failures = []
     checked = 0
     for d in range(d_lo, d_hi + 1):
-        s = _s123(d)
+        s = s123(d)
         for r in {s // 3, -(-s // 3)}:
             checked += 1
             shifts = (
-                (_s123(d - 1), _s23(d)),
-                (_s123(d - 2), _s13(d)),
-                (_s123(d - 3), _s12(d)),
+                (s123(d - 1), s23(d)),
+                (s123(d - 2), s13(d)),
+                (s123(d - 3), s12(d)),
             )
             found = False
             for s_shift, sbar in shifts:
@@ -239,17 +226,18 @@ def numeric_facts_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
     """
     if d_lo < 6:
         raise ValueError("the statement starts at d = 6")
+    s123, s23, s13, s12 = _plane_123_forms()
     failures = []
     checked = 0
     for d in range(d_lo, d_hi + 1):
         checked += 1
-        if not _s12(d) < 2 * _s123(d - 3):
+        if not s12(d) < 2 * s123(d - 3):
             failures.append((d, "s12 < 2 s(d-3)"))
-        if not _s23(d) <= 2 * _s23(d - 1):
+        if not s23(d) <= 2 * s23(d - 1):
             failures.append((d, "s23 halving"))
-        if not _s13(d) <= 2 * _s13(d - 2):
+        if not s13(d) <= 2 * s13(d - 2):
             failures.append((d, "s13 halving"))
-        if not _s12(d) <= 2 * _s12(d - 3):
+        if not s12(d) <= 2 * s12(d - 3):
             failures.append((d, "s12 halving"))
     return ScanReport(d_lo, d_hi, checked, tuple(failures))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from .linalg import (
     is_probable_prime,
     random_prime,
     rank_exact,
+    rank_mod_p,
 )
 
 PRIME_LOW = 2**50
@@ -195,7 +195,7 @@ class EvaluationMatrix:
         if not self.rows or not self.basis:
             return 0
         if self.prime is not None:
-            return group_ranks_mod_p(self.rows, self.prime, [len(self.rows)])[-1]
+            return rank_mod_p(self.rows, self.prime)
         return rank_exact(self.rows)
 
     def group_ranks(self) -> list[int]:
@@ -403,16 +403,8 @@ def ah_profile_scan(
     ]
 
 
-def deficiency_table(cfg: FatPointConfig, degrees, workers: int = 1) -> list[RankProfile]:
-    """hilbert_fat_points over a degree range, in input order.
-
-    workers > 1 fans the degrees out over threads; the output order and the
-    per-degree RNG streams do not depend on the schedule.
-    """
-    degrees = list(degrees)
-    if workers > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda d: hilbert_fat_points(cfg, d), degrees))
+def deficiency_table(cfg: FatPointConfig, degrees) -> list[RankProfile]:
+    """hilbert_fat_points over a degree range, in input order."""
     return [hilbert_fat_points(cfg, d) for d in degrees]
 
 

@@ -4,19 +4,17 @@ The chart sends a point to the tuple of all degree-d monomial values.  For
 weights (1, a_1, ..., a_n) and d at least the largest weight this is an
 embedding, tangent spaces are spanned by the rows of the monomial Jacobian,
 and the dimension of the r-th secant variety is the rank of the r stacked
-Jacobians at generic points, minus one.  Sampling trials reuse the streams
-of the interpolation module, so the secant rank of a trial literally equals
-the double-point rank of the same trial.
+Jacobians at generic points, minus one.  Those stacked Jacobians are the
+evaluation matrix of r double points, so secant dimensions are computed as
+double-point Hilbert functions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grading import UnsupportedWeightsError, Weights, count_monomials, enumerate_monomials
-from .interpolation import _point_rows, conditions_of_multiplicity, sample_trial
-from .linalg import group_ranks_mod_p, rank_exact
+from .interpolation import FatPointConfig, _point_rows, hilbert_fat_points
 
 
 class OutsideDomainError(ValueError):
@@ -98,37 +96,21 @@ class SecantReport:
 def secant_dimension(chart: VeroneseChart, r: int, seed=0, trials: int = 3, field=None) -> SecantReport:
     """Projective dimension of the r-th secant variety of the chart's image.
 
-    Stacks the Jacobians of r sampled points and takes rank - 1, maximized
-    over trials with early exit at the expected dimension
-    min{s_d, r*(n+1)} - 1.
+    By Terracini's lemma this is the rank of r generic double points in the
+    chart's degree, minus one, so it is read off hilbert_fat_points: the
+    expected dimension is min{s_d, r*(n+1)} - 1 and the defect is the
+    double-point deficiency.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    w = chart.weights
-    d = chart.degree
-    s_d = count_monomials(w, d)
-    expected = min(s_d, r * (w.n + 1)) - 1
-    best = -1
-    used = 0
-    for trial in range(trials):
-        used += 1
-        prime, pts = sample_trial(w, r, d, seed, trial, field)
-        rows = []
-        for coords in pts:
-            rows.extend(_point_rows(w, d, chart.basis, coords, 2, prime))
-        if prime is not None:
-            rank = group_ranks_mod_p(rows, prime, [len(rows)])[-1]
-        else:
-            rank = rank_exact(rows)
-        best = max(best, rank - 1)
-        if best >= expected:
-            break
+    cfg = FatPointConfig(chart.weights, (2,) * r, field=field, seed=seed, trials=trials)
+    prof = hilbert_fat_points(cfg, chart.degree)
     return SecantReport(
-        weights=w,
-        degree=d,
+        weights=chart.weights,
+        degree=chart.degree,
         r=r,
-        expected_dim=expected,
-        actual_dim=best,
-        defect=expected - best,
-        trials=used,
+        expected_dim=prof.expected - 1,
+        actual_dim=prof.actual - 1,
+        defect=prof.deficiency,
+        trials=prof.trials,
     )

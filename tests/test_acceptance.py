@@ -30,7 +30,7 @@ from wpinterp import (
     teranum_verify,
     triangle_lattice_check,
 )
-from wpinterp.induction import _s12, _s123, _s13, _s23
+from wpinterp.grading import closed_form
 from wpinterp.linalg import det_exact
 
 W123 = Weights((1, 2, 3))
@@ -149,10 +149,10 @@ def test_criterion_05_closed_form_scan():
     assert numeric_facts_verify(6, 100000).ok
     rng = random.Random("acceptance-5")
     systems = [
-        (_s123, W123),
-        (_s23, Weights((2, 3))),
-        (_s13, Weights((1, 3))),
-        (_s12, Weights((1, 2))),
+        (closed_form(W123), W123),
+        (closed_form(Weights((2, 3))), Weights((2, 3))),
+        (closed_form(Weights((1, 3))), Weights((1, 3))),
+        (closed_form(Weights((1, 2))), Weights((1, 2))),
     ]
     for _ in range(200):
         d = rng.randint(0, 100000)

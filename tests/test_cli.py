@@ -1,6 +1,9 @@
 """End-to-end command-line checks against frozen output."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,38 @@ def test_huge_degree_range_is_usage_error(capsys):
     assert widest[0] == 5 and widest[-1] == MAX_DEGREE_RANGE + 4
 
 
+def test_negative_points_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ah-check", "--weights", "1,2,3", "--deg", "6", "--points", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--points must be nonnegative" in err
+
+
+def test_trace_candidates_csv_is_a_table(capsys):
+    code, out, _ = run(
+        capsys,
+        ["terracini-trace", "--weights", "1,1,2", "--deg", "6", "--points", "3",
+         "--format", "csv"],
+    )
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "index,weight,q,direction,trace_ok"
+    assert "2,2,3,independent,true" in lines
+    assert len(lines) == 8
+
+
+def test_secant_dim_zero_trials_is_an_error(capsys):
+    code, out, err = run(
+        capsys,
+        ["secant-dim", "--weights", "1,1,1", "--deg", "2", "--rank", "2", "--trials", "0"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: trials must be positive\n"
+
+
 def test_small_prime_is_reported(capsys):
     code, _, err = run(
         capsys,
@@ -265,7 +300,7 @@ def test_version_flag(capsys):
 
 # Golden outputs: one stdout file per command line under tests/golden/, plus
 # the exit codes in tests/golden/exit_codes.json.
-GOLDEN_DIR = __import__("pathlib").Path(__file__).parent / "golden"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_COMMANDS = {
     "hilbert": ["hilbert", "--weights", "1,2,3", "--deg", "0..12"],
     "ah-check": ["ah-check", "--weights", "1,5,9", "--deg", "19..23", "--points", "3",
@@ -295,9 +330,6 @@ GOLDEN_CASES = [
 
 def regenerate_goldens():
     """Rewrite every golden file from the current code."""
-    import contextlib
-    import io
-
     GOLDEN_DIR.mkdir(exist_ok=True)
     codes = {}
     for name, argv in GOLDEN_CASES:

@@ -100,6 +100,11 @@ def test_secant_requires_positive_rank():
         secant_dimension(VeroneseChart(W123, 6), 0)
 
 
+def test_secant_requires_positive_trials():
+    with pytest.raises(ValueError):
+        secant_dimension(VeroneseChart(Weights((1, 1, 1)), 2), 2, trials=0)
+
+
 @pytest.mark.parametrize(
     "weights,d,r,seed",
     [
