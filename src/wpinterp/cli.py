@@ -12,7 +12,6 @@ rejected, a proved bound is violated), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .bounds import (
     interpolation_bound_check,
     triangle_lattice_check,
 )
-from .grading import UnsupportedWeightsError, Weights, count_monomials, hilbert_closed_form
+from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
 from .ideals import (
     UnsupportedConfigurationError,
     WeightedPoint,
@@ -34,6 +33,7 @@ from .induction import (
     build_certificate,
     chandler_inequality,
     check_certificate,
+    json_document,
     numeric_facts_verify,
     teranum_verify,
     terracini_candidates,
@@ -149,12 +149,13 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
     aligned table when no lines are given.  A format whose own payload is
     None prints the preamble and ``text`` instead, which is how FAIL lines
     reach every format.  Payloads may be zero-argument callables, so only
-    the chosen one is built.
+    the chosen one is built.  A CertificateNode in ``body`` is written
+    node by node (see induction.json_document).
     """
     fmt = args.format
     if fmt == "json" and body is not None:
         body = body() if callable(body) else body
-        lines = [json.dumps({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body}, indent=2)]
+        lines = [json_document({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body})]
     else:
         lines = [f"# wpinterp {meta['version']}"]
         lines += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
@@ -189,11 +190,11 @@ def _warn_not_well_formed(weights: Weights):
 def cmd_hilbert(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
+    form = closed_form(w)
     rows = []
     for d in args.deg:
-        closed = hilbert_closed_form(w, d)
-        value = count_monomials(w, d) if closed is None else closed
-        rows.append({"d": d, "s_d": value, "source": "dp" if closed is None else "closed-form"})
+        value = count_monomials(w, d) if form is None else form(d)
+        rows.append({"d": d, "s_d": value, "source": "dp" if form is None else "closed-form"})
     _render(args, _meta(args, "hilbert", w), {"rows": rows}, records=rows)
     return 0
 
@@ -265,6 +266,8 @@ def cmd_terracini_trace(args) -> int:
         raise argparse.ArgumentTypeError("terracini-trace takes a single degree")
     d = args.deg[0]
     r = args.points
+    if r < 0:
+        raise argparse.ArgumentTypeError("--points must be nonnegative")
     meta = _meta(args, "terracini-trace", w)
     if tuple(w) != (1, 2, 3):
         return _trace_candidates(args, meta, w, d, r)
@@ -280,7 +283,7 @@ def cmd_terracini_trace(args) -> int:
     _render(
         args,
         meta,
-        lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert.to_json_dict()},
+        lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
         ["path", "kind", "d", "r", "weight", "q", "direction"],
         lambda: [*_certificate_records(cert), {"path": "check", "direction": verdict}],
         lambda: _render_certificate(cert)

@@ -9,10 +9,11 @@ or with the two outer bounds swapped ("fill"), where sbar_d counts the
 degree-d monomials of the hyperplane itself.  The traces of the specialized
 points still have to impose independent conditions on the hyperplane; that
 is an arithmetic criterion in the style of Chandler, checked exactly here.
-A certificate is the full recursion tree: every inner node records its
-choice, its inequality witnesses, and the premise reductions; leaves are
-small enough to verify by a direct rank computation.  The checker replays
-everything from monomial counts alone.
+A certificate is the recursion as a DAG with shared subproblems: every inner
+node records its choice, its inequality witnesses, and the premise
+reductions; leaves are small enough to verify by a direct rank computation.
+The checker replays everything from monomial counts alone, each distinct node
+once.
 """
 
 from __future__ import annotations
@@ -244,6 +245,14 @@ def numeric_facts_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
 
 @dataclass
 class CertificateNode:
+    """One step of a certificate.
+
+    A built certificate shares the node of a repeated (d, r) subproblem
+    between every parent that needs it, so mutating one node changes every
+    path through it.  To alter a certificate, edit its JSON and read it back
+    with certificate_from_json, which shares nothing.
+    """
+
     kind: str  # "base", "terracini", "chandler-leaf"
     weights: Weights
     d: int
@@ -252,7 +261,7 @@ class CertificateNode:
     witnesses: dict
     children: list
 
-    def to_json_dict(self) -> dict:
+    def _own_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "weights": list(self.weights),
@@ -260,6 +269,11 @@ class CertificateNode:
             "r": self.r,
             "choice": self.choice.to_json_dict() if self.choice else None,
             "witnesses": self.witnesses,
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self._own_json_dict(),
             "children": [child.to_json_dict() for child in self.children],
         }
 
@@ -267,8 +281,50 @@ class CertificateNode:
 _SCHEMA = "wpinterp/certificate/v1"
 
 
+def json_document(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, where top-level values may be CertificateNodes.
+
+    A node is written as its ``to_json_dict()`` would be, byte for byte, but
+    each node object's own fields are encoded once per nesting level and its
+    children are streamed into one chunk list: a revisited shared node costs
+    a few appends, not a dict and an encoding.  Whole subtrees are never
+    cached, since their text grows with the tree, not with the DAG.
+    """
+    out = ["{"]
+    heads: dict = {}
+    sep = "\n  "
+    for key, value in doc.items():
+        out.append(f"{sep}{json.dumps(key)}: ")
+        if isinstance(value, CertificateNode):
+            _write_node(value, 1, out, heads)
+        else:
+            out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.append("\n}" if doc else "}")
+    return "".join(out)
+
+
+def _write_node(node: CertificateNode, level: int, out: list, heads: dict):
+    """Append the JSON of ``node`` as a value nested ``level`` objects deep."""
+    pad = "\n" + "  " * level
+    head = heads.get((id(node), level))
+    if head is None:
+        # Strip the closing "\n}" and indent: encoded strings hold no raw newline.
+        own = json.dumps(node._own_json_dict(), indent=2)[:-2].replace("\n", pad)
+        head = heads[(id(node), level)] = f'{own},{pad}  "children": '
+    if not node.children:
+        out.append(f"{head}[]{pad}}}")
+        return
+    item = pad + "    "
+    out.append(head + "[")
+    for k, child in enumerate(node.children):
+        out.append(item if k == 0 else "," + item)
+        _write_node(child, level + 2, out, heads)
+    out.append(f"{pad}  ]{pad}}}")
+
+
 def certificate_to_json(cert: CertificateNode) -> str:
-    return json.dumps({"schema": _SCHEMA, "root": cert.to_json_dict()}, indent=2)
+    return json_document({"schema": _SCHEMA, "root": cert})
 
 
 def certificate_from_json(text: str) -> CertificateNode:
@@ -340,24 +396,57 @@ def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> Certi
     direct rank computation with a seed derived from (seed, d, r).  Raises
     CertificateError, naming the failing subproblem, if some node admits no
     workable step.
+
+    Each (d, r) is solved once per call: a node depends only on (d, r, seed,
+    trials), so a repeated subproblem reuses the node (or the failure) of its
+    first visit, and the result is a DAG.
     """
     w = weights if isinstance(weights, Weights) else Weights(weights)
     if tuple(w) != (1, 2, 3):
         raise UnsupportedWeightsError("certificates are implemented for weights (1, 2, 3)")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")
-    return _build(w, d, r, seed, trials, "root")
+    node = _build(w, d, r, seed, trials, {})
+    if isinstance(node, _Failure):
+        raise CertificateError(node.message("root"))
+    return node
 
 
-def _build(w: Weights, d: int, r: int, seed, trials: int, path: str) -> CertificateNode:
+@dataclass(frozen=True)
+class _Failure:
+    """Why a subproblem has no certificate, apart from the path that reached it.
+
+    The message at a path is the path, then ``reason``, then, when a premise
+    failed, that premise's message at the path of its child slot.
+    """
+
+    reason: str
+    premise: tuple | None = None  # (child slot, _Failure)
+
+    def message(self, path: str) -> str:
+        if self.premise is None:
+            return path + self.reason
+        k, failure = self.premise
+        return path + self.reason + failure.message(f"{path}/children[{k}]")
+
+
+def _build(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
+    """The node for (d, r), or the _Failure saying why there is none."""
+    found = memo.get((d, r))
+    if found is None:
+        found = memo[(d, r)] = _build_node(w, d, r, seed, trials, memo)
+    return found
+
+
+def _build_node(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
     s_d = count_monomials(w, d)
     if d <= 5 or r == 0:
         expected = min(s_d, 3 * r)
         cfg = FatPointConfig(w, (2,) * r, seed=_base_seed(seed, d, r), trials=trials)
         prof = hilbert_fat_points(cfg, d)
         if prof.actual != expected:
-            raise CertificateError(
-                f"{path}: base case d={d}, r={r} has rank {prof.actual}, expected {expected}"
+            return _Failure(
+                f": base case d={d}, r={r} has rank {prof.actual}, expected {expected}"
             )
         witnesses = {
             "s_d": s_d,
@@ -368,29 +457,30 @@ def _build(w: Weights, d: int, r: int, seed, trials: int, path: str) -> Certific
         }
         return CertificateNode("base", w, d, r, None, witnesses, [])
     candidates = sorted(terracini_candidates(w, d, r), key=_candidate_order)
-    last = "no specialization candidate"
+    at = f": d={d}, r={r}: "
+    last = _Failure(at + "no specialization candidate")
     for choice in candidates:
         rec = chandler_inequality(w, d, choice.weight, choice.q, r)
         if not rec.ok:
-            last = f"trace criterion fails for weight {choice.weight}, q={choice.q}"
+            last = _Failure(f"{at}trace criterion fails for weight {choice.weight}, q={choice.q}")
             continue
         m = r - choice.q
         t1, t2 = d - choice.weight, d - 2 * choice.weight
         c1 = _premise_size(w, t1, m)
         c2 = _premise_size(w, t2, m)
-        try:
-            child1 = _build(w, t1, c1, seed, trials, f"{path}/children[1]")
-            child2 = _build(w, t2, c2, seed, trials, f"{path}/children[2]")
-        except CertificateError as err:
-            last = str(err)
+        child1 = _build(w, t1, c1, seed, trials, memo)
+        if isinstance(child1, _Failure):
+            last = _Failure(at, (1, child1))
+            continue
+        child2 = _build(w, t2, c2, seed, trials, memo)
+        if isinstance(child2, _Failure):
+            last = _Failure(at, (2, child2))
             continue
         line = w.drop(choice.index)
         line_value = line_interpolation_formula(line, (2,) * choice.q, d)
         sbar_d = count_monomials(line, d)
         if line_value != min(sbar_d, 2 * choice.q):
-            raise CertificateError(
-                f"{path}: line value {line_value} != min({sbar_d}, {2 * choice.q})"
-            )
+            return _Failure(f": line value {line_value} != min({sbar_d}, {2 * choice.q})")
         leaf = CertificateNode(
             "chandler-leaf", w, d, r, None, rec.to_json_dict(), []
         )
@@ -414,7 +504,7 @@ def _build(w: Weights, d: int, r: int, seed, trials: int, path: str) -> Certific
         return CertificateNode(
             "terracini", w, d, r, choice, witnesses, [leaf, child1, child2]
         )
-    raise CertificateError(f"{path}: d={d}, r={r}: {last}")
+    return last
 
 
 def check_certificate(cert: CertificateNode, failures: list | None = None) -> bool:
@@ -422,24 +512,36 @@ def check_certificate(cert: CertificateNode, failures: list | None = None) -> bo
 
     Every inequality, window, premise reduction, line value and base rank is
     recomputed.  Returns True when everything holds; failure descriptions are
-    appended to ``failures`` when a list is supplied.
+    appended to ``failures`` when a list is supplied.  A node object shared
+    by several parents is replayed once, and its failures are reported under
+    every path that reaches it.
     """
     sink = failures if failures is not None else []
-    _check(cert, "root", sink)
+    _check(cert, "root", sink, {})
     return not sink
 
 
-def _check(node: CertificateNode, path: str, sink: list):
+def _check(node: CertificateNode, path: str, sink: list, seen: dict):
+    """Append the failures of ``node`` at ``path``; ``seen`` maps id(node) to them."""
+    suffixes = seen.get(id(node))
+    if suffixes is None:
+        suffixes = seen[id(node)] = []
+        _check_node(node, suffixes, seen)
+    sink.extend(path + suffix for suffix in suffixes)
+
+
+def _check_node(node: CertificateNode, sink: list, seen: dict):
+    """Replay one node; each failure is appended without the node's own path."""
     w = node.weights
     s_d = count_monomials(w, node.d)
     if node.kind == "base":
         if node.d > 5 and node.r > 0:
-            sink.append(f"{path}: base node with d={node.d} > 5")
+            sink.append(f": base node with d={node.d} > 5")
             return
         expected = min(s_d, 3 * node.r)
         wit = node.witnesses
         if wit.get("s_d") != s_d or wit.get("expected") != expected:
-            sink.append(f"{path}: stored counts disagree with recomputation")
+            sink.append(": stored counts disagree with recomputation")
             return
         cfg = FatPointConfig(
             w, (2,) * node.r, seed=wit.get("seed", 0), trials=max(1, wit.get("trials", 1))
@@ -447,26 +549,26 @@ def _check(node: CertificateNode, path: str, sink: list):
         prof = hilbert_fat_points(cfg, node.d)
         if prof.actual != expected:
             sink.append(
-                f"{path}: base rank {prof.actual} != expected {expected} at d={node.d}, r={node.r}"
+                f": base rank {prof.actual} != expected {expected} at d={node.d}, r={node.r}"
             )
         return
     if node.kind == "chandler-leaf":
         wit = node.witnesses
         rec = chandler_inequality(w, wit["d"], wit["i"], wit["q"], wit["r"])
         if not rec.ok:
-            sink.append(f"{path}: trace criterion fails on recomputation")
+            sink.append(": trace criterion fails on recomputation")
         elif rec.to_json_dict() != dict(wit):
-            sink.append(f"{path}: stored trace witnesses disagree with recomputation")
+            sink.append(": stored trace witnesses disagree with recomputation")
         return
     if node.kind != "terracini":
-        sink.append(f"{path}: unknown node kind {node.kind!r}")
+        sink.append(f": unknown node kind {node.kind!r}")
         return
     choice = node.choice
     if choice is None or not (1 <= choice.q <= node.r):
-        sink.append(f"{path}: missing or out-of-range choice")
+        sink.append(": missing or out-of-range choice")
         return
     if w[choice.index] != choice.weight:
-        sink.append(f"{path}: choice weight does not match its index")
+        sink.append(": choice weight does not match its index")
         return
     n = w.n
     s_shift = count_monomials(w, node.d - choice.weight)
@@ -479,18 +581,18 @@ def _check(node: CertificateNode, path: str, sink: list):
     elif choice.direction == "fill":
         window_ok = sbar <= nq <= lo
     else:
-        sink.append(f"{path}: unknown direction {choice.direction!r}")
+        sink.append(f": unknown direction {choice.direction!r}")
         return
     if not window_ok:
         sink.append(
-            f"{path}: nq={nq} misses the {choice.direction} window at d={node.d}, r={node.r}"
+            f": nq={nq} misses the {choice.direction} window at d={node.d}, r={node.r}"
         )
     if len(node.children) != 3:
-        sink.append(f"{path}: expected 3 children, found {len(node.children)}")
+        sink.append(f": expected 3 children, found {len(node.children)}")
         return
     leaf, child1, child2 = node.children
     if leaf.kind != "chandler-leaf":
-        sink.append(f"{path}: first child must be the trace leaf")
+        sink.append(": first child must be the trace leaf")
         return
     if (leaf.witnesses.get("d"), leaf.witnesses.get("i"), leaf.witnesses.get("q"), leaf.witnesses.get("r")) != (
         node.d,
@@ -498,23 +600,23 @@ def _check(node: CertificateNode, path: str, sink: list):
         choice.q,
         node.r,
     ):
-        sink.append(f"{path}: trace leaf does not match the choice")
-    _check(leaf, f"{path}/children[0]", sink)
+        sink.append(": trace leaf does not match the choice")
+    _check(leaf, "/children[0]", sink, seen)
     m = node.r - choice.q
     for k, (child, shift) in enumerate(((child1, 1), (child2, 2)), start=1):
         t = node.d - shift * choice.weight
         if child.d != t:
-            sink.append(f"{path}/children[{k}]: degree {child.d} != {t}")
+            sink.append(f"/children[{k}]: degree {child.d} != {t}")
             continue
         if not _valid_reduction(m, child.r, count_monomials(w, t)):
             sink.append(
-                f"{path}/children[{k}]: size {child.r} does not cover requirement {m}"
+                f"/children[{k}]: size {child.r} does not cover requirement {m}"
             )
-        _check(child, f"{path}/children[{k}]", sink)
+        _check(child, f"/children[{k}]", sink, seen)
     wit = node.witnesses
     line_value = line_interpolation_formula(line, (2,) * choice.q, node.d)
     stored_line = wit.get("line", {})
     if stored_line.get("hilbert") != line_value or line_value != min(sbar, 2 * choice.q):
-        sink.append(f"{path}: line premise value disagrees with the closed form")
+        sink.append(": line premise value disagrees with the closed form")
     if wit.get("s_d") != s_d or wit.get("sbar_d") != sbar:
-        sink.append(f"{path}: stored counts disagree with recomputation")
+        sink.append(": stored counts disagree with recomputation")

@@ -330,3 +330,37 @@ def test_criterion_11_closed_forms_and_recursion():
                     count_monomials(w, d - a_i) + count_monomials(reduced, d)
                 )
     print("criterion 11: PASS closed forms to d=2000 and the deletion recursion to d=500")
+
+
+def _node_objects(cert) -> list:
+    """Node objects reachable from cert, each listed once by identity."""
+    seen, todo = {}, [cert]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.children)
+    return list(seen.values())
+
+
+def test_criterion_12_certificates_through_degree_100_and_200():
+    certified = 0
+    for d in range(0, 101):
+        s_d = count_monomials(W123, d)
+        for r in sorted({s_d // 3, -(-s_d // 3)}):
+            failures = []
+            assert check_certificate(build_certificate(W123, d, r), failures), (d, r, failures)
+            certified += 1
+    cert = build_certificate(W123, 200, 1137)
+    failures = []
+    assert check_certificate(cert, failures), failures
+    nodes = _node_objects(cert)
+    # one object per (kind, d, r), and premise sizes stay on the floor/ceil
+    # lattice of s_t/3: at most two sizes per degree below the root
+    assert len(nodes) == len({(n.kind, n.d, n.r) for n in nodes})
+    subproblems = {(n.d, n.r) for n in nodes}
+    assert len(subproblems) <= 2 * 200 + 1
+    print(
+        f"criterion 12: PASS {certified} balanced double-point counts certified for d <= 100;"
+        f" d=200, r=1137 checked: {len(nodes)} node objects, {len(subproblems)} subproblems"
+    )

@@ -233,6 +233,30 @@ def test_negative_points_is_usage_error(capsys):
     assert "--points must be nonnegative" in err
 
 
+@pytest.mark.parametrize("weights", ["1,2,3", "1,1,2", "1,1,1"])
+def test_trace_negative_points_is_usage_error(capsys, weights):
+    with pytest.raises(SystemExit) as exc:
+        main(["terracini-trace", "--weights", weights, "--deg", "6", "--points", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--points must be nonnegative" in err
+
+
+def test_hilbert_without_closed_form_is_dp_at_every_degree(capsys):
+    code, out, _ = run(
+        capsys, ["hilbert", "--weights", "2,4", "--deg=-2..1", "--format", "csv"]
+    )
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines == ["d,s_d,source", "-2,0,dp", "-1,0,dp", "0,1,dp", "1,0,dp"]
+    code, out, _ = run(
+        capsys, ["hilbert", "--weights", "1,2,3", "--deg=-2..0", "--format", "csv"]
+    )
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines == ["d,s_d,source", "-2,0,closed-form", "-1,0,closed-form", "0,1,closed-form"]
+
+
 def test_trace_candidates_csv_is_a_table(capsys):
     code, out, _ = run(
         capsys,

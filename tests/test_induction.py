@@ -1,5 +1,7 @@
 """Specialization windows, trace inequalities, and recursive certificates."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -19,6 +21,9 @@ from wpinterp import (
     teranum_verify,
     terracini_candidates,
 )
+from wpinterp import induction
+from wpinterp.cli import main
+from wpinterp.induction import json_document
 
 W123 = Weights((1, 2, 3))
 
@@ -182,3 +187,156 @@ def test_numeric_facts_scan():
     assert report.ok
     with pytest.raises(ValueError):
         numeric_facts_verify(2, 100)
+
+
+def _nodes(obj):
+    """Every node dict of a certificate's JSON, depth first."""
+    yield obj
+    for child in obj["children"]:
+        yield from _nodes(child)
+
+
+def test_built_certificate_shares_repeated_subproblems():
+    cert = build_certificate(W123, 20, 14)
+    objects = {}
+    todo, total = [cert], 0
+    while todo:
+        node = todo.pop()
+        total += 1
+        if node.kind != "chandler-leaf":
+            objects.setdefault((node.kind, node.d, node.r), set()).add(id(node))
+        todo.extend(node.children)
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert total > 3 * len(objects)
+
+
+def test_json_writer_matches_json_dumps():
+    # the recursion walks the floor/ceil lattice of s_t/3, so these sizes
+    # reach every node shape the writer sees
+    for d in range(0, 31):
+        s_d = count_monomials(W123, d)
+        for r in sorted({0, 1, s_d // 3, -(-s_d // 3)}):
+            dag = build_certificate(W123, d, r)
+            want = json.dumps(
+                {"schema": "wpinterp/certificate/v1", "root": dag.to_json_dict()}, indent=2
+            )
+            assert certificate_to_json(dag) == want, (d, r)
+            tree = certificate_from_json(want)
+            assert certificate_to_json(tree) == want, (d, r)
+
+
+def test_json_document_places_nodes_anywhere():
+    cert = build_certificate(W123, 9, 3)
+    head = {"a": [1, {"b": "x\ny"}], "empty": {}, "none": None}
+    doc = {**head, "first": cert, "middle": [], "last": cert}
+    plain = {**head, "first": cert.to_json_dict(), "middle": [], "last": cert.to_json_dict()}
+    assert json_document(doc) == json.dumps(plain, indent=2)
+    assert json_document({}) == json.dumps({}, indent=2)
+    assert json_document(head) == json.dumps(head, indent=2)
+
+
+def _fail_base_cases(monkeypatch, bad):
+    """Make the base-case rank of every (d, r) with bad(d, r) fall one short."""
+    real = induction.hilbert_fat_points
+
+    def short(cfg, d):
+        prof = real(cfg, d)
+        if bad(d, len(cfg.multiplicities)):
+            prof = dataclasses.replace(prof, actual=prof.actual - 1)
+        return prof
+
+    monkeypatch.setattr(induction, "hilbert_fat_points", short)
+
+
+# Captured from the tree-building recursion before subproblems were shared.
+FAIL_14_8 = (
+    "root: d=14, r=8: root/children[1]: d=11, r=5: root/children[1]/children[2]: d=9, r=4:"
+    " root/children[1]/children[2]/children[2]: d=7, r=3:"
+    " root/children[1]/children[2]/children[2]/children[2]:"
+    " base case d=5, r=2 has rank 4, expected 5"
+)
+
+
+def _fail_20_14():
+    path, parts = "root", []
+    for d, r, k in [(20, 14, 1), (19, 13, 1), (18, 12, 1), (17, 11, 1), (15, 9, 1),
+                    (13, 7, 1), (12, 6, 1), (11, 5, 2), (9, 4, 2), (7, 3, 2)]:
+        parts.append(f"{path}: d={d}, r={r}: ")
+        path += f"/children[{k}]"
+    return "".join(parts) + f"{path}: base case d=5, r=2 has rank 4, expected 5"
+
+
+def test_failed_subproblem_messages_name_each_path(monkeypatch, capsys):
+    _fail_base_cases(monkeypatch, lambda d, r: d >= 4 and r > 0)
+    with pytest.raises(CertificateError) as err:
+        build_certificate(W123, 14, 8)
+    assert str(err.value) == FAIL_14_8
+    with pytest.raises(CertificateError) as err:
+        build_certificate(W123, 20, 14)
+    assert str(err.value) == _fail_20_14()
+    assert len(_fail_20_14()) == 879
+    code = main(["terracini-trace", "--weights", "1,2,3", "--deg", "14", "--points", "8"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[-1] == f"FAIL d=14 r=8: {FAIL_14_8}"
+
+
+def test_failed_subproblem_falls_back_to_the_same_certificate(monkeypatch):
+    _fail_base_cases(monkeypatch, lambda d, r: d == 5 and r > 0)
+    cert = build_certificate(W123, 20, 14)
+    assert check_certificate(cert)
+    digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+    assert digest == "323f225a27b12c58afb5bf80f1324754d6b7ead0748c36791af561fac5a51ba8"
+
+
+def _tampered_failures(cert, pick, edit):
+    payload = json.loads(certificate_to_json(cert))
+    hits = [node for node in _nodes(payload["root"]) if pick(node)]
+    assert len(hits) > 1  # the subproblem is shared in the built certificate
+    for node in hits:
+        edit(node)
+    failures = []
+    assert not check_certificate(certificate_from_json(json.dumps(payload)), failures)
+    return failures
+
+
+def _key(kind, d, r):
+    return lambda node: (node["kind"], node["d"], node["r"]) == (kind, d, r)
+
+
+def test_tampered_shared_node_is_reported_on_every_path():
+    cert = build_certificate(W123, 20, 14)
+
+    def bump_counts(node):
+        node["witnesses"]["s_d"] += 1
+
+    def bump_degree(node):
+        node["children"][1]["d"] += 1
+
+    stored = ": stored counts disagree with recomputation"
+    expected = [
+        "root/children[1]/children[1]/children[1]/children[1]/children[2]" + stored,
+        "root/children[1]/children[1]/children[2]/children[2]" + stored,
+        "root/children[1]/children[2]/children[1]/children[1]/children[2]" + stored,
+        "root/children[1]/children[2]/children[2]/children[2]" + stored,
+        "root/children[2]/children[1]/children[2]" + stored,
+    ]
+    assert _tampered_failures(cert, _key("base", 5, 2), bump_counts) == expected
+    assert _tampered_failures(cert, _key("terracini", 8, 3), bump_degree) == [
+        "root/children[1]/children[2]/children[2]/children[1]/children[1]: degree 6 != 5",
+        "root/children[2]/children[1]/children[1]/children[1]: degree 6 != 5",
+    ]
+    # a JSON tree shares nothing: one tampered copy leaves the others sound
+    payload = json.loads(certificate_to_json(cert))
+    next(n for n in _nodes(payload["root"]) if _key("base", 5, 2)(n))["witnesses"]["s_d"] += 1
+    failures = []
+    assert not check_certificate(certificate_from_json(json.dumps(payload)), failures)
+    assert failures == expected[:1]
+    # the built DAG holds one object per subproblem, so mutating it in place
+    # is reported under every path, as the JSON tamper of every copy is
+    base = cert.children[2].children[1].children[2]
+    assert (base.kind, base.d, base.r) == ("base", 5, 2)
+    base.witnesses["s_d"] += 1
+    failures = []
+    assert not check_certificate(cert, failures)
+    assert failures == expected
