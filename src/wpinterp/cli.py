@@ -42,6 +42,8 @@ from .interpolation import FatPointConfig, deficiency_table
 from .veronese import VeroneseChart, secant_dimension
 
 MAX_DEGREE_RANGE = 100_000  # degrees one --deg lo..hi may span
+MAX_DEGREE = 1_000_000  # largest --deg; the DP table holds one int per degree up to it
+MAX_TRACE_NODES = 2_000_000  # tree nodes terracini-trace prints before refusing
 
 
 def _parse_weights(text: str) -> Weights:
@@ -61,8 +63,12 @@ def _parse_degrees(text: str) -> list[int]:
                 raise ValueError("empty range")
             if hi - lo + 1 > MAX_DEGREE_RANGE:
                 raise ValueError(f"more than {MAX_DEGREE_RANGE} degrees")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            degrees = list(range(lo, hi + 1))
+        else:
+            degrees = [int(text)]
+        if degrees[-1] > MAX_DEGREE:
+            raise ValueError(f"degree {degrees[-1]} above {MAX_DEGREE}")
+        return degrees
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad degree range {text!r}: {err}")
 
@@ -259,6 +265,14 @@ def _certificate_records(node, path: str = "root"):
         yield from _certificate_records(child, f"{path}/{k}")
 
 
+def _tree_size(node, sizes: dict) -> int:
+    """Nodes of the certificate printed as a tree, counted once per DAG node."""
+    size = sizes.get(id(node))
+    if size is None:
+        size = sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in node.children)
+    return size
+
+
 def cmd_terracini_trace(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
@@ -277,6 +291,13 @@ def cmd_terracini_trace(args) -> int:
         body = {"d": d, "r": r, "ok": False, "error": str(err)}
         _render(args, meta, body, text=[f"FAIL d={d} r={r}: {err}"])
         return 1
+    size = _tree_size(cert, {})
+    if size > MAX_TRACE_NODES:
+        raise argparse.ArgumentTypeError(
+            f"the certificate prints as {size} tree nodes, more than {MAX_TRACE_NODES};"
+            " build and check it through the library (build_certificate and"
+            " check_certificate) instead"
+        )
     failures: list[str] = []
     ok = check_certificate(cert, failures)
     verdict = "accepted" if ok else "rejected"

@@ -9,10 +9,11 @@ min{s_d, sum of the condition counts}.
 
 Generic behaviour is probed by sampling: coordinates are drawn from a large
 random prime field (a fresh 50-62 bit prime per trial, always larger than
-the degree so the derivative model stays faithful), ranks are maximized
-over a few trials, and an exact rational fallback is available for small
-cases.  All randomness is derived from (seed, degree, trial), so results
-are reproducible across runs and processes.
+the degree so the derivative model stays faithful), and ranks are
+maximized over a few trials.  The exact field samples integer points and
+takes the rank over Q of their matrix (``linalg.group_ranks_exact``).  All
+randomness is derived from (seed, degree, trial), so results are
+reproducible across runs and processes.
 """
 
 from __future__ import annotations

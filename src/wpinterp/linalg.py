@@ -1,25 +1,24 @@
-"""Exact linear algebra: ranks mod p, fraction-free ranks over Q, determinants.
+"""Exact linear algebra: ranks over F_p and Q, determinants, kernels.
 
-Everything here is exact.  Matrices are lists of row lists of ints (any
-sign; the mod-p routines reduce them) or, over Q, ints and Fractions.
-Both fields share one shape of elimination: an online row echelon that
-records the rank after each group of rows (``group_ranks_mod_p``,
-``group_ranks_exact``), so one pass serves every leading sub-configuration.
-
-The mod-p path is the workhorse (ranks of evaluation matrices at random
-points).  It packs each row into a single Python int with one fixed-width
-slot per column, so a reduction step is one C-level bigint multiply-add
-rather than a Python loop over the row.  A slot holds at least
-2*bits(p) + bits(min(nrows, ncols) + 1) bits, rounded up to whole bytes,
-which is enough for every pivot step a row can meet before it is reduced
-mod p again.  The rational path is the fallback oracle and the determinant
-route for the 6x6 identity checks.
+Matrices are lists of row lists of ints or, over Q, ints and Fractions.
+One elimination kernel serves both fields: ``group_ranks_mod_p``, an online
+row echelon that records the rank after each group of rows, so one pass
+serves every leading sub-configuration.  It packs each row into one Python
+int with a fixed-width slot per column, so a reduction step is one C-level
+bigint multiply-add.  A slot holds at least 2*bits(p) + bits(min(nrows,
+ncols) + 1) bits, rounded up to whole bytes, enough for every pivot step a
+row can meet before it is reduced mod p again.  Ranks over Q
+(``group_ranks_exact``) run that kernel on the cleared integer rows mod
+fixed 61-bit primes until the ranks are trivially full or the primes'
+product exceeds the Hadamard bound of every larger minor, which proves them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -121,15 +120,20 @@ def group_ranks_mod_p(rows, p: int, group_sizes) -> list[int]:
 
 
 def _primitive_integer_row(row):
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) if isinstance(x, Fraction) else x * den for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return [x // g for x in ints] if g > 1 else ints
+    """(ints, scale) with row == scale * ints and ints a primitive integer vector."""
+    den = math.lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
+    ints = [int(x * den) for x in row]
+    g = math.gcd(*ints) or 1
+    return [x // g for x in ints], Fraction(g, den)
+
+
+@cache
+def _prime_below(n: int) -> int:
+    """The largest prime below n, cached: each exact-field prime is found once per process."""
+    p = n - 1
+    while not is_probable_prime(p):
+        p -= 1
+    return p
 
 
 def rank_exact(rows) -> int:
@@ -138,33 +142,32 @@ def rank_exact(rows) -> int:
 
 
 def group_ranks_exact(rows, group_sizes) -> list[int]:
-    """Online fraction-free row echelon over Q with rank checkpoints.
+    """The checkpoints of :func:`group_ranks_mod_p` over Q, proved mod primes.
 
-    The rational counterpart of :func:`group_ranks_mod_p`: after each group
-    of ``group_sizes[k]`` rows the current rank is recorded.  Rows are
-    scaled to primitive integer vectors; elimination uses the
-    cross-multiplication update (pivot*row - lead*pivot_row), re-dividing
-    by the content after each step, so no Fraction arithmetic happens in
-    the inner loop.
+    Rows are cleared to primitive integer vectors; each checkpoint is the
+    max of its ranks mod the primes below 2**61, largest first.  This stops
+    once every checkpoint reaches min(rows so far, ncols), or once the
+    product P of the primes used exceeds H, the product of the m + 1 largest
+    row norms (a zero row counting as 1), m the largest checkpoint so far.
+
+    Proof.  For an integer matrix rank mod p <= rank over Q.  If a leading
+    block with checkpoint c had rank over Q >= c + 1, some (c + 1)-minor
+    D != 0 would exist.  Every prime used leaves the block at rank <= c, so
+    divides every (c + 1)-minor, and P divides D.  But by Hadamard |D| <= H
+    (c + 1 <= m + 1 rows) and H < P, so D = 0, a contradiction.
     """
-    echelon = []
-    ranks = []
-    idx = 0
-    for size in group_sizes:
-        for row in rows[idx:idx + size]:
-            row = _primitive_integer_row(row)
-            for pc, er in echelon:
-                f = row[pc]
-                if f:
-                    lead = er[pc]
-                    row = [lead * x - f * y for x, y in zip(row, er)]
-                    row = _primitive_integer_row(row)
-            pc = next((j for j, x in enumerate(row) if x), None)
-            if pc is not None:
-                echelon.append((pc, row))
-        idx += size
-        ranks.append(len(echelon))
-    return ranks
+    rows = [_primitive_integer_row(row)[0] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    bounds = [min(cut, ncols) for cut in accumulate(group_sizes)]
+    sq_norms = sorted((max(1, sum(x * x for x in row)) for row in rows), reverse=True)
+    ranks = [0] * len(group_sizes)
+    product, p = 1, 1 << 61
+    while True:
+        p = _prime_below(p)
+        ranks = [max(a, b) for a, b in zip(ranks, group_ranks_mod_p(rows, p, group_sizes))]
+        product *= p
+        if ranks == bounds or product * product > math.prod(sq_norms[:max(ranks, default=0) + 1]):
+            return ranks
 
 
 def det_exact(rows) -> Fraction:
@@ -174,15 +177,8 @@ def det_exact(rows) -> Fraction:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        scale *= den
-        m.append([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
+    cleared = [_primitive_integer_row(row) for row in rows]
+    m = [ints for ints, _ in cleared]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -199,7 +195,7 @@ def det_exact(rows) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return sign * m[n - 1][n - 1] * math.prod(scale for _, scale in cleared)
 
 
 def nullspace_exact(rows, ncols: int) -> list[list[Fraction]]:

@@ -7,8 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from wpinterp import certificate_from_json, check_certificate
-from wpinterp.cli import MAX_DEGREE_RANGE, _parse_degrees, main
+from wpinterp import Weights, build_certificate, certificate_from_json, check_certificate
+from wpinterp.cli import (
+    MAX_DEGREE,
+    MAX_DEGREE_RANGE,
+    MAX_TRACE_NODES,
+    _parse_degrees,
+    _tree_size,
+    main,
+)
 
 WARN_23 = (
     "warning: weights (2, 3) are not well formed; "
@@ -222,6 +229,35 @@ def test_huge_degree_range_is_usage_error(capsys):
     widest = _parse_degrees(f"5..{MAX_DEGREE_RANGE + 4}")
     assert len(widest) == MAX_DEGREE_RANGE
     assert widest[0] == 5 and widest[-1] == MAX_DEGREE_RANGE + 4
+
+
+@pytest.mark.parametrize("deg", ["1000000000000", f"{MAX_DEGREE}..{MAX_DEGREE + 1}"])
+def test_degree_above_cap_is_usage_error(capsys, deg):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--weights", "3,5,7", "--deg", deg])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"above {MAX_DEGREE}" in err
+    assert _parse_degrees(str(MAX_DEGREE)) == [MAX_DEGREE]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_trace_too_large_to_print_is_usage_error(capsys, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(["terracini-trace", "--weights", "1,2,3", "--deg", "200", "--points", "1137",
+              "--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"more than {MAX_TRACE_NODES}" in err
+    assert "build_certificate" in err and "check_certificate" in err
+
+
+def test_trace_budget_admits_degree_70_and_rejects_80():
+    w = Weights((1, 2, 3))
+    assert _tree_size(build_certificate(w, 70, 148), {}) == 381_781 <= MAX_TRACE_NODES
+    assert _tree_size(build_certificate(w, 80, 191), {}) == 2_886_961 > MAX_TRACE_NODES
 
 
 def test_negative_points_is_usage_error(capsys):

@@ -253,7 +253,7 @@ def test_exact_and_modular_ranks_agree():
 
 
 def test_exact_group_ranks_are_prefix_ranks():
-    # one fraction-free pass must reproduce the rank of every leading block
+    # one pass must reproduce the rank of every leading block
     for w, d, mults in [(W123, 8, (2,) * 5), (W123, 12, (3, 2, 2, 1)), (Weights((1, 1, 1)), 4, (2,) * 5)]:
         cfg = FatPointConfig(w, mults, field="exact", seed=3)
         mat = build_evaluation_matrix(cfg, d)
@@ -263,6 +263,15 @@ def test_exact_group_ranks_are_prefix_ranks():
             want.append(rank_exact(mat.rows[:cut]))
         assert mat.group_ranks() == want
         assert want[-1] == mat.rank()
+
+
+@pytest.mark.parametrize(
+    "weights, d, r, actual, deficiency",
+    [((1, 2, 3), 30, 31, 91, 0), ((1, 5, 9), 21, 3, 8, 1)],
+)
+def test_exact_field_on_larger_cases(weights, d, r, actual, deficiency):
+    prof = hilbert_fat_points(FatPointConfig(weights, (2,) * r, field="exact", seed=1), d)
+    assert (prof.actual, prof.deficiency) == (actual, deficiency)
 
 
 def test_two_fixed_primes_agree():

@@ -1,5 +1,6 @@
 """Exact and modular linear algebra against straightforward reference code."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,11 +8,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
 
 from wpinterp.interpolation import PRIME_HIGH
 from wpinterp.linalg import (
+    _prime_below,
     det_exact,
     group_ranks_exact,
     group_ranks_mod_p,
@@ -46,7 +48,7 @@ def permutation_det(rows):
 
 
 def gauss_rank(rows):
-    """Plain fraction pivoting, independent of the fraction-free code under test."""
+    """Plain fraction pivoting, independent of the multimodular code under test."""
     m = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     ncols = len(m[0]) if m else 0
@@ -323,3 +325,72 @@ def test_random_prime_reproducible():
     assert is_probable_prime(p1)
     assert p1 not in avoid
     assert random_prime(random.Random("other"), lo, hi, avoid) != p1
+
+
+def sympy_matrix(rows, ncols):
+    return Matrix(len(rows), ncols,
+                  [Rational(x.numerator, x.denominator) for row in rows for x in row])
+
+
+def exact_oracle_cases():
+    """Int and Fraction matrices: low rank, duplicate and zero rows, 2**200 entries."""
+    rng = random.Random(41)
+    for nrows, ncols in [(1, 1), (3, 5), (5, 3), (6, 6), (7, 4), (4, 7)]:
+        for rank in sorted({0, 1, min(nrows, ncols) // 2, min(nrows, ncols)}):
+            for scale in (5, 1 << 200):
+                left = [[rng.randint(-scale, scale) for _ in range(rank)] for _ in range(nrows)]
+                right = [[rng.randint(-scale, scale) for _ in range(ncols)] for _ in range(rank)]
+                rows = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(ncols)]
+                        for row in left]
+                if nrows > 1:
+                    rows[rng.randrange(nrows)] = list(rows[0])
+                rows.insert(rng.randrange(nrows + 1), [0] * ncols)
+                yield rows, ncols
+                scales = [Fraction(1, rng.randint(1, 9)) for _ in rows]
+                yield [[x * c for x in row] for row, c in zip(rows, scales)], ncols
+        yield random_matrix(rng, nrows, ncols, with_fractions=True), ncols
+
+
+def test_exact_kernels_match_sympy():
+    rng = random.Random(43)
+    for rows, ncols in exact_oracle_cases():
+        sizes = split_sizes(rng, len(rows))
+        want, cut = [], 0
+        for size in sizes:
+            cut += size
+            want.append(sympy_matrix(rows[:cut], ncols).rank())
+        assert group_ranks_exact(rows, sizes) == want
+        full = sympy_matrix(rows, ncols)
+        assert rank_exact(rows) == full.rank()
+        basis = nullspace_exact(rows, ncols)
+        oracle = full.nullspace()
+        assert len(basis) == len(oracle)
+        if basis:
+            # Two bases span the same space exactly when their RREFs agree.
+            ours = sympy_matrix(basis, ncols)
+            assert ours.rref()[0] == Matrix.hstack(*oracle).T.rref()[0]
+
+
+def test_exact_rank_needs_more_than_one_prime():
+    primes = [_prime_below(1 << 61)]  # the exact field's primes, largest first
+    while len(primes) < 3:
+        primes.append(_prime_below(primes[-1]))
+    prime = primes[0]
+    # diag(P, 1) and [[P, 1], [0, 1]] have determinant P: singular mod the
+    # first prime of the sequence, regular over Q.
+    for rows in ([[prime, 0], [0, 1]], [[prime, 1], [0, 1]]):
+        assert rank_exact(rows) == 2
+        assert group_ranks_exact(rows, [1, 1]) == [1, 2]
+    product = math.prod(primes)
+    assert rank_exact([[product, 1], [0, 1]]) == 2
+    assert rank_exact([[product, 1], [0, 1], [product, 2]]) == 2
+    # Rows of norm about sqrt(P) whose 2-minor is P, the first or the second
+    # prime: the stop must use the m + 1 largest norms, and the max of the
+    # checkpoints over every prime so far.
+    for p, rest in ((primes[0], []), (primes[1], [[0, 0, 0]])):
+        s = math.isqrt(p)
+        rows = [[s, -1, 0], [p - s * s, s, 0]] + rest
+        assert group_ranks_exact(rows, [2] + [1] * len(rest)) == [2] * (1 + len(rest))
+    # A rank-1 block of 2**200 entries: only the Hadamard bound can stop it.
+    big = [(1 << 200) + 7, (1 << 201) - 3]
+    assert group_ranks_exact([big, [2 * x for x in big], [0, 1]], [2, 1]) == [1, 2]
