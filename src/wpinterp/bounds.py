@@ -205,9 +205,6 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     x0 = d // (2 * b)
     y0 = d // (2 * c)
 
-    def in_t(x, y):
-        return x >= 0 and y >= 0 and b * x + c * y <= d
-
     def in_t1(x, y):
         return x >= 0 and y >= 0 and b * x + c * y <= half
 
@@ -334,7 +331,7 @@ def classify_plane_123_uniqueness(
     (d, r) in increasing order; the first hit is confirmed by an actual
     rank computation and recorded.  Planes with no confirmed witness in the
     search box are reported as exception-free; (1, 2, 3) is expected to be
-    the only one besides nothing else surviving a larger box.
+    the only such plane, in this box and in any larger one.
     """
     records = []
     for b in range(1, c_max + 1):

@@ -459,12 +459,15 @@ def cmd_verify_suite(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
-def _add_common(sub, weights_required=True, sampling=True):
-    if weights_required:
-        sub.add_argument("--weights", type=_parse_weights, required=True,
-                         help="comma-separated positive weights, e.g. 1,2,3")
+def _add_output(sub):
     sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sub.add_argument("--output", help="write to this file instead of stdout")
+
+
+def _add_common(sub, sampling=True):
+    sub.add_argument("--weights", type=_parse_weights, required=True,
+                     help="comma-separated positive weights, e.g. 1,2,3")
+    _add_output(sub)
     if sampling:
         sub.add_argument("--seed", default=0, help="base seed for all sampling")
         sub.add_argument("--trials", type=int, default=3, help="sampling trials per degree")
@@ -522,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound_check)
 
     p = subs.add_parser("verify-suite", help="run the numeric verification suite")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--output", help="write to this file instead of stdout")
+    _add_output(p)
     p.add_argument("--max-deg", type=int, default=100000, help="scan ceiling for closed forms")
     p.add_argument("--max-bc", type=int, default=8, help="grid ceiling for bound checks")
     p.set_defaults(func=cmd_verify_suite)

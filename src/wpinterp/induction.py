@@ -207,10 +207,10 @@ def teranum_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
             found = False
             for s_shift, sbar in shifts:
                 lo = 3 * r - s_shift
-                if _even_in(max(lo, 2), min(sbar, 2 * r)):
+                if _even_in(lo, min(sbar, 2 * r)):
                     found = True
                     break
-                if _even_in(max(sbar, 2), min(lo, 2 * r)):
+                if _even_in(sbar, min(lo, 2 * r)):
                     found = True
                     break
             if not found:

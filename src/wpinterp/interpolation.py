@@ -14,6 +14,9 @@ maximized over a few trials.  The exact field samples integer points and
 takes the rank over Q of their matrix (``linalg.group_ranks_exact``).  All
 randomness is derived from (seed, degree, trial), so results are
 reproducible across runs and processes.
+
+One trial loop serves every rank profile: ``hilbert_fat_points`` (the
+whole configuration) and ``ah_profile_scan`` (every leading part of it).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .grading import Weights, count_monomials, enumerate_monomials
 from .ideals import WeightedPoint
@@ -30,8 +34,6 @@ from .linalg import (
     group_ranks_mod_p,
     is_probable_prime,
     random_prime,
-    rank_exact,
-    rank_mod_p,
 )
 
 PRIME_LOW = 2**50
@@ -95,6 +97,16 @@ def _sample_coords(weights: Weights, count: int, rng: random.Random, high: int):
     return points
 
 
+def _fixed_prime(field, degree: int) -> int:
+    """A fixed prime field, checked to be prime and to exceed the degree."""
+    prime = int(field)
+    if not is_probable_prime(prime):
+        raise ValueError(f"field must be prime, got {prime}")
+    if prime <= degree:
+        raise FieldTooSmallError(f"prime {prime} does not exceed the degree {degree}")
+    return prime
+
+
 def sample_trial(weights: Weights, count: int, degree: int, seed, trial: int, field=None):
     """Prime and point coordinates for one sampling trial.
 
@@ -106,17 +118,8 @@ def sample_trial(weights: Weights, count: int, degree: int, seed, trial: int, fi
     if field == "exact":
         prime = None
         high = EXACT_COORD_HIGH
-    elif field is None:
-        prime = _trial_prime(rng, degree, weights)
-        high = prime - 1
     else:
-        prime = int(field)
-        if not is_probable_prime(prime):
-            raise ValueError(f"field must be prime, got {prime}")
-        if prime <= degree:
-            raise FieldTooSmallError(
-                f"prime {prime} does not exceed the degree {degree}"
-            )
+        prime = _trial_prime(rng, degree, weights) if field is None else _fixed_prime(field, degree)
         high = prime - 1
     return prime, _sample_coords(weights, count, rng, high)
 
@@ -126,7 +129,8 @@ class FatPointConfig:
     """A fat-point interpolation problem.
 
     points left as None means "sample generic points"; a fixed prime, the
-    string "exact", or None (fresh random prime per trial) selects the field.
+    string "exact", or None (fresh random prime per trial) selects the field;
+    a prime is stored as an int.
     """
 
     weights: Weights
@@ -151,6 +155,8 @@ class FatPointConfig:
             if len(pts) != len(mults):
                 raise ValueError("points and multiplicities differ in length")
             object.__setattr__(self, "points", pts)
+        if self.field not in (None, "exact"):
+            object.__setattr__(self, "field", int(self.field))
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
@@ -193,19 +199,19 @@ class EvaluationMatrix:
         ]
 
     def rank(self) -> int:
-        if not self.rows or not self.basis:
-            return 0
-        if self.prime is not None:
-            return rank_mod_p(self.rows, self.prime)
-        return rank_exact(self.rows)
+        """Rank of all rows: the one checkpoint of a single group."""
+        return self._checkpoints([self.nrows])[-1]
 
     def group_ranks(self) -> list[int]:
         """Rank after each point's block of rows, one elimination pass."""
+        return self._checkpoints(self.group_sizes())
+
+    def _checkpoints(self, sizes) -> list[int]:
         if not self.basis:
-            return [0] * len(self.multiplicities)
+            return [0] * len(sizes)
         if self.prime is not None:
-            return group_ranks_mod_p(self.rows, self.prime, self.group_sizes())
-        return group_ranks_exact(self.rows, self.group_sizes())
+            return group_ranks_mod_p(self.rows, self.prime, sizes)
+        return group_ranks_exact(self.rows, sizes)
 
 
 def _point_rows(weights: Weights, degree: int, basis, coords, multiplicity: int, prime):
@@ -272,18 +278,12 @@ def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) ->
     w = cfg.weights
     basis = enumerate_monomials(w, degree)
     if cfg.points is not None:
-        if isinstance(cfg.field, int):
-            prime = cfg.field
-            if not is_probable_prime(prime):
-                raise ValueError(f"field must be prime, got {prime}")
-            if prime <= degree:
-                raise FieldTooSmallError(
-                    f"prime {prime} does not exceed the degree {degree}"
-                )
-            coords = [_reduce_coords(p.coords, prime) for p in cfg.points]
-        else:
+        if cfg.field in (None, "exact"):
             prime = None
             coords = [p.coords for p in cfg.points]
+        else:
+            prime = _fixed_prime(cfg.field, degree)
+            coords = [_reduce_coords(p.coords, prime) for p in cfg.points]
     else:
         prime, coords = sample_trial(w, cfg.r, degree, cfg.seed, trial, cfg.field)
     rows = []
@@ -334,74 +334,61 @@ def _profile(weights, r, degree, s_d, expected, actual, trials) -> RankProfile:
     )
 
 
-def hilbert_fat_points(cfg: FatPointConfig, degree: int) -> RankProfile:
-    """Hilbert function of the fat-point scheme in one degree.
+def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list[RankProfile]:
+    """Profiles of the first k points for k = 1..r (per_point) or k = r alone.
 
-    Sampled configurations maximize the rank over cfg.trials trials with an
-    early exit once the expected value is reached.  Degree zero reports 1
-    for any nonempty configuration: constants are killed by no point, and
-    the derivative rows of order >= 1 cannot see them.
+    Each trial builds one evaluation matrix and ranks it with one checkpoint
+    per profile, so the exact field proves one rank unless per_point asks
+    for r.  Ranks are maximized over the trials until every checkpoint
+    reaches its expected value; explicit points are one trial.  Degree zero
+    reports the expected value and a degree with no monomials (every
+    negative one) or no points reports 0, with no matrix and 0 trials.
     """
     w = cfg.weights
     s_d = count_monomials(w, degree)
-    expected = min(s_d, cfg.conditions)
-    if degree == 0:
-        actual = 1 if cfg.r else 0
-        return _profile(w, cfg.r, degree, s_d, min(expected, 1) if cfg.r else 0, actual, 0)
-    if cfg.r == 0 or s_d == 0:
-        return _profile(w, cfg.r, degree, s_d, expected, 0, 0)
-    if cfg.points is not None:
-        actual = build_evaluation_matrix(cfg, degree).rank()
-        return _profile(w, cfg.r, degree, s_d, expected, actual, 1)
-    best = 0
-    used = 0
-    for trial in range(cfg.trials):
-        used += 1
-        best = max(best, build_evaluation_matrix(cfg, degree, trial).rank())
-        if best >= expected:
-            break
-    return _profile(w, cfg.r, degree, s_d, expected, best, used)
+    if per_point:
+        counts = range(1, cfg.r + 1)
+        conditions = accumulate(conditions_of_multiplicity(m, w.n) for m in cfg.multiplicities)
+    else:
+        counts, conditions = [cfg.r], [cfg.conditions]
+    expect = [min(s_d, c) for c in conditions]
+    if degree == 0 or not any(expect):
+        best, used = expect, 0
+    else:
+        best, used = [0] * len(expect), 0
+        for trial in range(cfg.trials if cfg.points is None else 1):
+            used += 1
+            mat = build_evaluation_matrix(cfg, degree, trial)
+            ranks = mat.group_ranks() if per_point else [mat.rank()]
+            best = [max(b, x) for b, x in zip(best, ranks)]
+            if all(b >= e for b, e in zip(best, expect)):
+                break
+    return [_profile(w, r, degree, s_d, e, b, used) for r, e, b in zip(counts, expect, best)]
 
 
-def ah_profile_scan(
-    weights,
-    degree: int,
-    r_max: int,
-    multiplicity: int = 2,
-    seed=0,
-    trials: int = 3,
-    field=None,
-) -> list[RankProfile]:
+def hilbert_fat_points(cfg: FatPointConfig, degree: int) -> RankProfile:
+    """Hilbert function of the fat-point scheme in one degree.
+
+    Trials stop once the whole configuration reaches its expected value.
+    Degree zero reports 1 for any nonempty configuration, since constants
+    are killed by no point, and a degree with no monomials, negative or
+    not, reports 0; neither samples anything, so trials is 0.
+    """
+    return _sampled_profiles(cfg, degree, per_point=False)[0]
+
+
+def ah_profile_scan(weights, degree: int, r_max: int, multiplicity: int = 2, seed=0,
+                    trials: int = 3, field=None) -> list[RankProfile]:
     """Profiles for r = 1..r_max equal-multiplicity generic points, one degree.
 
-    A single elimination per trial serves every r: the points of trial t for
-    r_max points extend those for fewer points, so the rank checkpoints after
-    each point's row block are the ranks of the leading sub-configurations.
+    The points of a trial for r_max points extend those for fewer points,
+    so one elimination per trial serves every r.  This is the trial loop of
+    hilbert_fat_points with its degree conventions, but it stops only once
+    every r reaches its expected value, and each profile reports the
+    trials of the whole scan.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
-    s_d = count_monomials(w, degree)
-    cond = conditions_of_multiplicity(multiplicity, w.n)
-    expect = [min(s_d, cond * r) for r in range(1, r_max + 1)]
-    if degree == 0:
-        return [
-            _profile(w, r, 0, s_d, min(expect[r - 1], 1), 1, 0)
-            for r in range(1, r_max + 1)
-        ]
-    best = [0] * r_max
-    used = 0
-    for trial in range(trials):
-        used += 1
-        cfg = FatPointConfig(w, (multiplicity,) * r_max, field=field, seed=seed)
-        mat = build_evaluation_matrix(cfg, degree, trial)
-        for i, rank in enumerate(mat.group_ranks()):
-            if rank > best[i]:
-                best[i] = rank
-        if all(b >= e for b, e in zip(best, expect)):
-            break
-    return [
-        _profile(w, r, degree, s_d, expect[r - 1], best[r - 1], used)
-        for r in range(1, r_max + 1)
-    ]
+    cfg = FatPointConfig(weights, (multiplicity,) * r_max, field=field, seed=seed, trials=trials)
+    return _sampled_profiles(cfg, degree, per_point=True)
 
 
 def deficiency_table(cfg: FatPointConfig, degrees) -> list[RankProfile]:

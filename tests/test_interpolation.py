@@ -227,15 +227,52 @@ def test_sampling_prefix_property():
     assert many[:2] == few
 
 
+SCAN_CASES = [
+    # weights, degree, r_max, multiplicity, field
+    (W123, 12, 7, 2, None),
+    (W123, 10, 8, 1, None),
+    (W123, 15, 4, 3, None),
+    (W123, 9, 5, 2, (1 << 31) - 1),
+    (W123, 8, 5, 2, "exact"),
+    (Weights((1, 1, 1)), 4, 6, 2, None),  # r = 5 is deficient
+    (W123, 0, 3, 2, None),
+    (W123, -3, 3, 2, None),
+    (Weights((2, 3)), 1, 3, 2, None),  # s_d = 0
+]
+
+
 def test_scan_matches_pointwise():
-    profiles = ah_profile_scan(W123, 12, 7, seed=0, trials=3)
-    assert len(profiles) == 7
-    for r, prof in enumerate(profiles, start=1):
-        solo = hilbert_fat_points(FatPointConfig(W123, (2,) * r, seed=0, trials=3), 12)
-        assert prof.r == solo.r == r
-        assert prof.actual == solo.actual
-        assert prof.expected == solo.expected
-        assert prof.is_AH == solo.is_AH
+    for w, d, r_max, m, field in SCAN_CASES:
+        profiles = ah_profile_scan(w, d, r_max, multiplicity=m, seed=0, trials=3, field=field)
+        assert [p.r for p in profiles] == list(range(1, r_max + 1))
+        deficient = any(p.deficiency for p in profiles)
+        for r, prof in enumerate(profiles, start=1):
+            cfg = FatPointConfig(w, (m,) * r, field=field, seed=0, trials=3)
+            got, want = prof.to_json_dict(), hilbert_fat_points(cfg, d).to_json_dict()
+            if deficient:
+                # the scan samples until every r is full; a full prefix alone stops at once
+                del got["trials"], want["trials"]
+            assert got == want, (tuple(w), d, m, field, r)
+    deficient_scan = ah_profile_scan(Weights((1, 1, 1)), 4, 6)
+    assert [p.deficiency for p in deficient_scan] == [0, 0, 0, 0, 1, 0]
+    assert {p.trials for p in deficient_scan} == {3}
+
+
+def test_scan_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        ah_profile_scan(W123, 10, 3, trials=0)
+
+
+def test_field_is_normalized_once():
+    for field in (7, "7"):
+        cfg = FatPointConfig(W123, (1,), points=((1, 1, 1),), field=field)
+        assert cfg.field == 7
+        assert build_evaluation_matrix(cfg, 2).prime == 7
+        assert build_evaluation_matrix(FatPointConfig(W123, (1,), field=field), 2).prime == 7
+    for field in (None, "exact"):
+        cfg = FatPointConfig(W123, (1,), points=((1, 1, 1),), field=field)
+        assert cfg.field == field
+        assert build_evaluation_matrix(cfg, 2).prime is None
 
 
 def test_scan_degree_zero():
