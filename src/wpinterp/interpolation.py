@@ -7,6 +7,12 @@ degree-d monomial basis; its rank is the Hilbert function of the scheme,
 and the scheme imposes independent conditions exactly when the rank hits
 min{s_d, sum of the condition counts}.
 
+Rows are built from per-point derivative tables: for each variable j the
+k-th derivatives of x_j^e at the point's coordinate c_j, e!/(e-k)! *
+c_j^(e-k), for every order k < m and exponent e.  The basis exponents are
+transposed into one column per variable once per matrix, so an operator's
+row is a product of table lookups over those columns and one reduction.
+
 Generic behaviour is probed by sampling: coordinates are drawn from a large
 random prime field (a fresh 50-62 bit prime per trial, always larger than
 the degree so the derivative model stays faithful), and ranks are
@@ -26,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .grading import Weights, count_monomials, enumerate_monomials
 from .ideals import WeightedPoint
@@ -76,9 +83,15 @@ def _sample_coords(weights: Weights, count: int, rng: random.Random, high: int):
     """Coordinates for ``count`` generic points.
 
     The first weight-one slot, if any, is pinned to 1 for every point; the
-    remaining slots get nonzero values, pairwise distinct within each slot.
+    remaining slots get nonzero values, pairwise distinct within each slot,
+    from 1..high; more points than that is a ValueError.
     """
     pin = next((i for i, a in enumerate(weights) if a == 1), None)
+    if count > high and any(j != pin for j in range(len(weights))):
+        raise ValueError(
+            f"{count} generic points need {count} distinct nonzero values per coordinate, "
+            f"but only {high} are available"
+        )
     used = [set() for _ in weights]
     points = []
     for _ in range(count):
@@ -192,11 +205,11 @@ class EvaluationMatrix:
 
     def group_sizes(self) -> list[int]:
         n = self.weights.n
-        return [
-            conditions_of_multiplicity(m, n)
-            + sum(1 for mono in self.basis if mono.total_degree <= m - 2)
-            for m in self.multiplicities
-        ]
+        sizes = {
+            m: conditions_of_multiplicity(m, n) + len(_low_columns(self.basis, m))
+            for m in set(self.multiplicities)
+        }
+        return [sizes[m] for m in self.multiplicities]
 
     def rank(self) -> int:
         """Rank of all rows: the one checkpoint of a single group."""
@@ -214,45 +227,80 @@ class EvaluationMatrix:
         return group_ranks_exact(self.rows, sizes)
 
 
-def _point_rows(weights: Weights, degree: int, basis, coords, multiplicity: int, prime):
+def _low_columns(basis, multiplicity: int) -> list[int]:
+    """Columns of the monomials of total degree at most multiplicity - 2."""
+    return [col for col, mono in enumerate(basis) if mono.total_degree <= multiplicity - 2]
+
+
+def _derivative_tables(coords, tops, order: int, prime) -> list[list[list]]:
+    """tables[j][k][e] = (d/dx)^k x^e at x = coords[j], for k <= order, e <= tops[j].
+
+    The entry is e!/(e-k)! * c^(e-k), or 0 for e < k, reduced mod the prime
+    if there is one.  Each order is the previous one shifted and scaled,
+    D[k][e] = e * D[k-1][e-1] with D[k][0] = 0, so the zeros come for free.
+    """
+    tables = []
+    for c, top in zip(coords, tops):
+        powers = [1] * (top + 1)
+        for e in range(1, top + 1):
+            powers[e] = powers[e - 1] * c % prime if prime else powers[e - 1] * c
+        table = [powers]
+        for _ in range(order):
+            shifted = [0, *map(mul, range(1, top + 1), table[-1])]
+            table.append(list(map(prime.__rmod__, shifted)) if prime else shifted)
+        tables.append(table)
+    return tables
+
+
+def _point_rows(columns, tops, coords, ops, low_rows, prime) -> list[list]:
     """All condition rows of one point.
 
     One row per operator of order multiplicity-1; the weighted Euler identity
     then forces every lower-order derivative to vanish as well, except where
     the complementary degree is zero and the identity degenerates.  Those
     operators are exactly the degree-d monomials of total degree at most
-    multiplicity-2, and their (constant) values are imposed as extra rows.
+    multiplicity-2, and their (constant) values, ``low_rows`` as (column,
+    value) pairs, are imposed as extra rows.
+
+    ``columns[j]`` holds the exponent of variable j in every basis monomial
+    and ``tops[j]`` its largest value.  The entry of operator op at monomial
+    e is the product over j of the derivative tables D_j[op_j][e_j], so a
+    row is one C-level product over the columns and one reduction.
+    """
+    tables = _derivative_tables(coords, tops, sum(ops[0]), prime)  # every op has one order
+    rows = []
+    for op in ops:
+        cells = map(tables[0][op[0]].__getitem__, columns[0])
+        for j in range(1, len(columns)):
+            cells = map(mul, cells, map(tables[j][op[j]].__getitem__, columns[j]))
+        rows.append(list(map(prime.__rmod__, cells)) if prime else list(cells))
+    ncols = len(columns[0])
+    for col, val in low_rows:
+        row = [0] * ncols
+        row[col] = val
+        rows.append(row)
+    return rows
+
+
+def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list[list]:
+    """Condition rows of each point in turn, against the monomial basis.
+
+    The basis is transposed into per-variable exponent columns once, and the
+    operators and extra rows are found once per distinct multiplicity.
     """
     nvars = len(weights)
-    pow_tables = []
-    for j, c in enumerate(coords):
-        top = degree // weights[j]
-        table = [1] * (top + 1)
-        for k in range(1, top + 1):
-            table[k] = table[k - 1] * c % prime if prime else table[k - 1] * c
-        pow_tables.append(table)
+    columns = list(zip(*[mono.exponents for mono in basis])) or [()] * nvars
+    tops = [max(col, default=0) for col in columns]
+    per_mult = {}
+    for m in set(multiplicities):
+        low_rows = []
+        for col in _low_columns(basis, m):
+            val = math.prod(math.factorial(e) for e in basis[col].exponents)
+            low_rows.append((col, val % prime if prime else val))
+        per_mult[m] = derivative_operators(nvars, m - 1), low_rows
     rows = []
-    for op in derivative_operators(nvars, multiplicity - 1):
-        row = []
-        hot = [j for j in range(nvars) if op[j]]
-        for mono in basis:
-            e = mono.exponents
-            if any(op[j] > e[j] for j in hot):
-                row.append(0)
-                continue
-            val = 1
-            for j in hot:
-                val *= math.perm(e[j], op[j])
-            for j in range(nvars):
-                val *= pow_tables[j][e[j] - op[j]]
-            row.append(val % prime if prime else val)
-        rows.append(row)
-    for col, mono in enumerate(basis):
-        if mono.total_degree <= multiplicity - 2:
-            row = [0] * len(basis)
-            val = math.prod(math.factorial(e) for e in mono.exponents)
-            row[col] = val % prime if prime else val
-            rows.append(row)
+    for coords, m in zip(points, multiplicities):
+        rows.extend(_point_rows(columns, tops, coords, *per_mult[m], prime))
     return rows
 
 
@@ -286,9 +334,7 @@ def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) ->
             coords = [_reduce_coords(p.coords, prime) for p in cfg.points]
     else:
         prime, coords = sample_trial(w, cfg.r, degree, cfg.seed, trial, cfg.field)
-    rows = []
-    for pt, mult in zip(coords, cfg.multiplicities):
-        rows.extend(_point_rows(w, degree, basis, pt, mult, prime))
+    rows = _matrix_rows(w, basis, coords, cfg.multiplicities, prime)
     return EvaluationMatrix(w, degree, basis, rows, cfg.multiplicities, prime, coords)
 
 

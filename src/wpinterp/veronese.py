@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grading import UnsupportedWeightsError, Weights, count_monomials, enumerate_monomials
-from .interpolation import FatPointConfig, _point_rows, hilbert_fat_points
+from .interpolation import FatPointConfig, _matrix_rows, hilbert_fat_points
 
 
 class OutsideDomainError(ValueError):
@@ -68,7 +68,7 @@ def tangent_jacobian(chart: VeroneseChart, coords, prime=None):
     """Rows j = 0..n of first partials of the basis monomials at the point."""
     if len(coords) != len(chart.weights):
         raise ValueError("coordinate length does not match the weights")
-    return _point_rows(chart.weights, chart.degree, chart.basis, coords, 2, prime)
+    return _matrix_rows(chart.weights, chart.basis, [coords], (2,), prime)
 
 
 @dataclass(frozen=True)

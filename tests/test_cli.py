@@ -260,6 +260,17 @@ def test_trace_budget_admits_degree_70_and_rejects_80():
     assert _tree_size(build_certificate(w, 80, 191), {}) == 2_886_961 > MAX_TRACE_NODES
 
 
+@pytest.mark.parametrize("argv", [
+    ["ah-check", "--weights", "1,1,1", "--deg", "3", "--points", "10", "--prime", "7"],
+    ["secant-dim", "--weights", "1,1,1", "--deg", "3", "--rank", "10", "--prime", "7"],
+])
+def test_more_points_than_the_prime_allows_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "only 6 are available" in err
+
+
 def test_negative_points_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ah-check", "--weights", "1,2,3", "--deg", "6", "--points", "-1"])

@@ -1,8 +1,11 @@
 """Evaluation matrices and generic ranks, checked against symbolic differentiation."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wpinterp import (
     FatPointConfig,
@@ -22,6 +25,7 @@ from wpinterp import (
     sample_trial,
     simple_points_hilbert,
 )
+from wpinterp.interpolation import _matrix_rows
 from wpinterp.linalg import is_probable_prime, nullspace_exact, rank_exact
 
 W123 = Weights((1, 2, 3))
@@ -106,6 +110,100 @@ def test_rank_equals_full_derivative_closure(entries, mults, points):
     for degree in range(1, 16):
         mat = build_evaluation_matrix(cfg, degree)
         assert mat.rank() == full_closure_rank(w, degree, points, mults), degree
+
+
+def reference_point_rows(weights, degree, basis, coords, multiplicity, prime):
+    """The per-cell row builder the derivative tables replaced, kept as a reference."""
+    nvars = len(weights)
+    pow_tables = []
+    for j, c in enumerate(coords):
+        top = degree // weights[j]
+        table = [1] * (top + 1)
+        for k in range(1, top + 1):
+            table[k] = table[k - 1] * c % prime if prime else table[k - 1] * c
+        pow_tables.append(table)
+    rows = []
+    for op in derivative_operators(nvars, multiplicity - 1):
+        row = []
+        hot = [j for j in range(nvars) if op[j]]
+        for mono in basis:
+            e = mono.exponents
+            if any(op[j] > e[j] for j in hot):
+                row.append(0)
+                continue
+            val = 1
+            for j in hot:
+                val *= math.perm(e[j], op[j])
+            for j in range(nvars):
+                val *= pow_tables[j][e[j] - op[j]]
+            row.append(val % prime if prime else val)
+        rows.append(row)
+    for col, mono in enumerate(basis):
+        if mono.total_degree <= multiplicity - 2:
+            row = [0] * len(basis)
+            val = math.prod(math.factorial(e) for e in mono.exponents)
+            row[col] = val % prime if prime else val
+            rows.append(row)
+    return rows
+
+
+def reference_matrix_rows(weights, degree, points, mults, prime):
+    basis = enumerate_monomials(weights, degree)
+    rows = []
+    for coords, m in zip(points, mults):
+        rows.extend(reference_point_rows(weights, degree, basis, coords, m, prime))
+    return rows
+
+
+ROW_PRIMES = [None, 7, (1 << 31) - 1, (1 << 61) - 1]
+
+
+@st.composite
+def row_cases(draw):
+    """Weights with n = 1..3, multiplicities 1..6, degrees 0..30 and a field."""
+    entries = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=4)))
+    degree = draw(st.integers(0, 30))
+    mults = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    prime = draw(st.sampled_from(ROW_PRIMES))
+    if prime is None:
+        coord = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+    else:
+        coord = st.integers(0, prime - 1)
+    points = tuple(draw(st.tuples(*[coord] * len(entries))) for _ in mults)
+    return entries, degree, mults, points, prime
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=row_cases())
+@example(case=((2, 3), 1, (2, 3), ((1, 1), (2, 5)), None))  # empty basis
+@example(case=((2, 3), 8, (6,), ((3, 4),), 7))  # extra row u^4 has 4! = 3 mod 7
+@example(case=((1, 1, 1), 4, (6, 1), ((0, 1, 0), (1, 0, 0)), None))  # zero coordinates
+@example(case=((1, 2, 3), 9, (3, 2), ((Fraction(1, 2), Fraction(-2, 3), 0), (1, 2, 3)), None))
+@example(case=((1, 1, 2, 3), 12, (6, 5, 4), ((1, 2, 3, 4), (0, 0, 5, 6), (7, 0, 0, 1)), (1 << 61) - 1))
+def test_row_builder_matches_per_cell_reference(case):
+    entries, degree, mults, points, prime = case
+    w = Weights(entries)
+    basis = enumerate_monomials(w, degree)
+    want = reference_matrix_rows(w, degree, points, mults, prime)
+    assert _matrix_rows(w, basis, points, mults, prime) == want
+
+
+GROUP_SIZES_123 = {0: [7, 4, 4, 1], 1: [7, 3, 3, 1], 2: [7, 3, 3, 1], 12: [6, 3, 3, 1]}
+
+
+@pytest.mark.parametrize("degree", sorted(GROUP_SIZES_123))
+def test_group_sizes_are_per_point_row_counts(degree):
+    # a triple point gains a row for each monomial of total degree <= 1, a
+    # double point for the constant, a simple point never
+    mults = (3, 2, 2, 1)
+    mat = build_evaluation_matrix(FatPointConfig(W123, mults, seed=5), degree)
+    sizes = mat.group_sizes()
+    assert sizes == GROUP_SIZES_123[degree]
+    assert sum(sizes) == mat.nrows
+    assert sizes == [
+        len(reference_point_rows(W123, degree, mat.basis, pt, m, mat.prime))
+        for pt, m in zip(mat.points, mults)
+    ]
 
 
 def test_triple_point_on_line_small_degree():
@@ -225,6 +323,17 @@ def test_sampling_prefix_property():
     _, many = sample_trial(W123, 5, 10, 0, 0)
     _, few = sample_trial(W123, 2, 10, 0, 0)
     assert many[:2] == few
+
+
+def test_more_points_than_field_values_is_rejected():
+    # F_7 has six nonzero values, so a slot cannot hold ten distinct ones
+    w = Weights((1, 1, 1))
+    with pytest.raises(ValueError, match="only 6 are available"):
+        hilbert_fat_points(FatPointConfig(w, (2,) * 10, field=7), 3)
+    with pytest.raises(ValueError, match="only 6 are available"):
+        sample_trial(Weights((2, 3)), 7, 3, 0, 0, field=7)
+    _, coords = sample_trial(w, 6, 3, 0, 0, field=7)
+    assert sorted(pt[1] for pt in coords) == [1, 2, 3, 4, 5, 6]
 
 
 SCAN_CASES = [
