@@ -7,9 +7,10 @@ piece equals the number of solutions e in N_0^{n+1} of
     a_0 e_0 + a_1 e_1 + ... + a_n e_n = d,
 
 a coin-counting problem.  This module provides the universal counting
-oracle (dynamic programming, exact integers), monomial enumeration in a
-fixed deterministic order, and the closed forms that exist for one and
-two variables and for weights (1,2,3).
+oracle (dynamic programming, exact integers; one count table per weight
+tuple, shared by every Weights object with that tuple), monomial
+enumeration in a fixed deterministic order, and the closed forms that exist
+for one and two variables and for weights (1,2,3).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Weights:
     weights are accepted, the flag just reports it.
     """
 
-    __slots__ = ("a", "sort_order", "_table")
+    __slots__ = ("a", "sort_order")
 
     def __init__(self, entries):
         entries = tuple(int(x) for x in entries)
@@ -43,7 +44,6 @@ class Weights:
         order = sorted(range(len(entries)), key=lambda i: entries[i])
         object.__setattr__(self, "a", tuple(entries[i] for i in order))
         object.__setattr__(self, "sort_order", tuple(order))
-        object.__setattr__(self, "_table", HilbertTable(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weights is immutable")
@@ -70,9 +70,6 @@ class Weights:
         if len(self.a) == 1:
             raise UnsupportedWeightsError("cannot drop the only weight")
         return Weights(self.a[:index] + self.a[index + 1:])
-
-    def table(self) -> "HilbertTable":
-        return self._table
 
     def __len__(self):
         return len(self.a)
@@ -112,46 +109,42 @@ class Monomial:
         return sum(self.exponents)
 
 
-class HilbertTable:
-    """Memoized table d -> s_d for one weight vector.
+# s_0..s_N of each weight tuple, shared by every Weights object with that
+# tuple.  A table is replaced, never mutated, so readers need no lock.
+_TABLES: dict[tuple, list[int]] = {}
+_TABLES_LOCK = threading.Lock()
 
-    Backed by a coin-counting DP array that grows on demand.  Growth is
-    serialized by a lock; filled prefixes are immutable, so concurrent
-    readers are safe.
-    """
 
-    def __init__(self, weights: Weights):
-        self.weights = weights
-        self._values: list[int] = [1]
-        self._lock = threading.Lock()
-
-    def _grow(self, d: int) -> None:
-        with self._lock:
-            if d < len(self._values):
-                return
-            cap = max(d, 2 * len(self._values), 16)
-            dp = [0] * (cap + 1)
-            dp[0] = 1
-            for a in self.weights:
-                for t in range(a, cap + 1):
-                    dp[t] += dp[t - a]
-            self._values = dp
-
-    def __getitem__(self, d: int) -> int:
-        if d < 0:
-            return 0
-        if d >= len(self._values):
-            self._grow(d)
-        return self._values[d]
+def _grow(a: tuple, d: int) -> list[int]:
+    """The table of weight tuple a, grown to cover degree d."""
+    with _TABLES_LOCK:
+        values = _TABLES.get(a, [1])
+        if d < len(values):
+            return values
+        cap = max(d, 2 * len(values), 16)
+        dp = [0] * (cap + 1)
+        dp[0] = 1
+        for weight in a:
+            for t in range(weight, cap + 1):
+                dp[t] += dp[t - weight]
+        _TABLES[a] = dp
+        return dp
 
 
 def count_monomials(w: Weights, d: int) -> int:
     """s_d: number of monomials of weighted degree d (0 for d < 0).
 
     Dynamic programming over the Diophantine equation; independent of any
-    closed formula, so it serves as the oracle everywhere else.
+    closed formula, so it serves as the oracle everywhere else.  The table
+    belongs to the weight tuple, so a hyperplane from ``drop`` reuses the
+    counts of every earlier object with the same weights.
     """
-    return w.table()[d]
+    if d < 0:
+        return 0
+    values = _TABLES.get(w.a)
+    if values is None or d >= len(values):
+        values = _grow(w.a, d)
+    return values[d]
 
 
 def enumerate_monomials(w: Weights, d: int) -> list[Monomial]:
@@ -185,10 +178,11 @@ def enumerate_monomials(w: Weights, d: int) -> list[Monomial]:
 
 def _two_variable_closed_form(a: int, b: int):
     # s_d = floor(qd/b) - floor(pd/a) with aq - bp = 1, plus 1 when a | d
-    g, x, y = _ext_gcd(a, b)
+    g = math.gcd(a, b)
     if g != 1:
         raise UnsupportedWeightsError(f"two-variable closed form needs gcd=1, got gcd({a},{b})={g}")
-    q, p = x, -y  # a*q - b*p = 1
+    q = pow(a, -1, b)
+    p = (a * q - 1) // b
 
     def s(d: int) -> int:
         if d < 0:
@@ -196,13 +190,6 @@ def _two_variable_closed_form(a: int, b: int):
         return (q * d) // b - (p * d) // a + (d % a == 0)
 
     return s
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def _one_b_closed_form(b: int):

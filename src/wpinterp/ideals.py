@@ -292,7 +292,7 @@ def point_ideal_line(point: WeightedPoint) -> list[SparsePoly]:
 
 
 def point_ideal_plane(point: WeightedPoint) -> list[SparsePoly]:
-    """Generators of the ideal of a point of a well-formed P(a, b, c)."""
+    """Generators of the ideal of a point of a well-formed P(a, b, c), no two proportional."""
     w = point.weights
     if len(w) != 3:
         raise UnsupportedConfigurationError("expected a point of a weighted plane")
@@ -321,11 +321,27 @@ def point_ideal_plane(point: WeightedPoint) -> list[SparsePoly]:
         return [SparsePoly(w, {tuple(var): 1}), SparsePoly(w, binom)]
     hd = herzog_data(a, b, c)
     (r1, r2, r3), (k1, k2, k3), (g1, g2, g3) = hd.r, hd.k, hd.g
-    return [
+    return _drop_proportional([
         SparsePoly(w, {(r1, 0, 0): p1**k1 * p2**g1, (0, k1, g1): -(p0**r1)}),
         SparsePoly(w, {(0, r2, 0): p0**k2 * p2**g2, (k2, 0, g2): -(p1**r2)}),
         SparsePoly(w, {(0, 0, r3): p0**k3 * p1**g3, (k3, g3, 0): -(p2**r3)}),
-    ]
+    ])
+
+
+def _drop_proportional(gens: list[SparsePoly]) -> list[SparsePoly]:
+    """gens without each polynomial that is a scalar multiple of an earlier one.
+
+    In the complete-intersection case (HerzogData.hc) two of the three
+    binomials can be the same relation up to a scalar.
+    """
+    kept, seen = [], set()
+    for g in gens:
+        lead = g.terms[max(g.terms)]
+        key = frozenset((expo, coeff / lead) for expo, coeff in g.terms.items())
+        if key not in seen:
+            seen.add(key)
+            kept.append(g)
+    return kept
 
 
 def point_ideal_hyperplane_case(point: WeightedPoint) -> list[SparsePoly]:

@@ -2,13 +2,15 @@
 
 The induction step specializes q of the r double points into the hyperplane
 cut out by a variable of weight a_i.  The move is numerically legal when
+q lies in [1, r] and n q lies between
 
-    (n+1) r - s_{d - a_i}  <=  n q  <=  sbar_d        ("independent"),
+    lo = (n+1) r - s_{d - a_i}   and   sbar_d,
 
-or with the two outer bounds swapped ("fill"), where sbar_d counts the
-degree-d monomials of the hyperplane itself.  The traces of the specialized
-points still have to impose independent conditions on the hyperplane; that
-is an arithmetic criterion in the style of Chandler, checked exactly here.
+where sbar_d counts the degree-d monomials of the hyperplane itself.  The
+window is "independent" when lo <= sbar_d and "fill" otherwise; _q_window is
+the one place that states it.  The traces of the specialized points still
+have to impose independent conditions on the hyperplane; that is an
+arithmetic criterion in the style of Chandler, checked exactly here.
 A certificate is the recursion as a DAG with shared subproblems: every inner
 node records its choice, its inequality witnesses, and the premise
 reductions; leaves are small enough to verify by a direct rank computation.
@@ -48,12 +50,24 @@ class TerraciniChoice:
         }
 
 
+def _q_window(n: int, r: int, lo: int, sbar: int) -> tuple[range, str]:
+    """The q in [1, r] with n q between lo and sbar, and the window's direction.
+
+    The window is "independent" when lo <= sbar and "fill" otherwise, so a
+    shared endpoint (lo == sbar) counts as "independent".
+    """
+    low, high = (lo, sbar) if lo <= sbar else (sbar, lo)
+    qs = range(max(1, -(-low // n)), min(r, high // n) + 1)
+    return qs, "independent" if lo <= sbar else "fill"
+
+
 def terracini_candidates(weights, d: int, r: int) -> list[TerraciniChoice]:
     """All (index, q, direction) satisfying the specialization inequality.
 
-    Iterates every variable and q in [1, r]; a q meeting both directions at
-    once (the two windows share an endpoint) is reported once, as
-    "independent".  Ordered by index, then q.
+    Variable i contributes every q in [1, r] with n q between
+    lo = (n+1) r - s_{d-a_i} and sbar_d, as "independent" when lo <= sbar_d
+    and "fill" otherwise (_q_window), so a q on a shared endpoint is reported
+    once, as "independent".  Ordered by index, then q.
     """
     w = weights if isinstance(weights, Weights) else Weights(weights)
     if w[0] != 1:
@@ -62,15 +76,9 @@ def terracini_candidates(weights, d: int, r: int) -> list[TerraciniChoice]:
     out = []
     for index in range(len(w)):
         a_i = w[index]
-        s_shift = count_monomials(w, d - a_i)
-        sbar = count_monomials(w.drop(index), d)
-        lo = (n + 1) * r - s_shift
-        for q in range(1, r + 1):
-            nq = n * q
-            if lo <= nq <= sbar:
-                out.append(TerraciniChoice(index, a_i, q, "independent"))
-            elif sbar <= nq <= lo:
-                out.append(TerraciniChoice(index, a_i, q, "fill"))
+        lo = (n + 1) * r - count_monomials(w, d - a_i)
+        qs, direction = _q_window(n, r, lo, count_monomials(w.drop(index), d))
+        out.extend(TerraciniChoice(index, a_i, q, direction) for q in qs)
     return out
 
 
@@ -166,11 +174,6 @@ def _plane_123_forms():
     return tuple(closed_form(Weights(w)) for w in ((1, 2, 3), (2, 3), (1, 3), (1, 2)))
 
 
-def _even_in(lo: int, hi: int) -> bool:
-    lo = max(lo, 2)
-    return lo <= hi and (hi // 2) * 2 >= lo
-
-
 @dataclass(frozen=True)
 class ScanReport:
     lo: int
@@ -186,9 +189,8 @@ class ScanReport:
 def teranum_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
     """Every balanced point count near s_d/3 admits a specialization, d >= 6.
 
-    For r = floor(s_d/3) and ceil(s_d/3), some variable and some q in [1, r]
-    must satisfy one of the two windows.  Closed forms keep the scan O(1)
-    per degree.
+    For r = floor(s_d/3) and ceil(s_d/3), some hyperplane must have a
+    nonempty window (_q_window).  Closed forms keep the scan O(1) per degree.
     """
     if d_lo < 6:
         raise ValueError("the statement starts at d = 6")
@@ -197,23 +199,10 @@ def teranum_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
     checked = 0
     for d in range(d_lo, d_hi + 1):
         s = s123(d)
+        shifts = ((s123(d - 1), s23(d)), (s123(d - 2), s13(d)), (s123(d - 3), s12(d)))
         for r in {s // 3, -(-s // 3)}:
             checked += 1
-            shifts = (
-                (s123(d - 1), s23(d)),
-                (s123(d - 2), s13(d)),
-                (s123(d - 3), s12(d)),
-            )
-            found = False
-            for s_shift, sbar in shifts:
-                lo = 3 * r - s_shift
-                if _even_in(lo, min(sbar, 2 * r)):
-                    found = True
-                    break
-                if _even_in(sbar, min(lo, 2 * r)):
-                    found = True
-                    break
-            if not found:
+            if not any(_q_window(2, r, 3 * r - s_shift, sbar)[0] for s_shift, sbar in shifts):
                 failures.append((d, r))
     return ScanReport(d_lo, d_hi, checked, tuple(failures))
 
@@ -378,15 +367,6 @@ def _base_seed(seed, d: int, r: int) -> str:
     return f"{seed}|base|{d}|{r}"
 
 
-def _candidate_order(choice: TerraciniChoice) -> tuple:
-    return (
-        -choice.weight,
-        choice.q,
-        0 if choice.direction == "independent" else 1,
-        -choice.index,
-    )
-
-
 def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> CertificateNode:
     """Certificate that r general double points in P(1,2,3) are independent in degree d.
 
@@ -456,7 +436,8 @@ def _build_node(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
             "seed": _base_seed(seed, d, r),
         }
         return CertificateNode("base", w, d, r, None, witnesses, [])
-    candidates = sorted(terracini_candidates(w, d, r), key=_candidate_order)
+    # Ordered by index, then q: a stable sort puts the largest weight first.
+    candidates = sorted(terracini_candidates(w, d, r), key=lambda c: -c.weight)
     at = f": d={d}, r={r}: "
     last = _Failure(at + "no specialization candidate")
     for choice in candidates:

@@ -52,13 +52,7 @@ def veronese_image(chart: VeroneseChart, coords):
     """Coordinates of the image point, in basis order."""
     if len(coords) != len(chart.weights):
         raise ValueError("coordinate length does not match the weights")
-    vals = []
-    for mono in chart.basis:
-        v = 1
-        for c, e in zip(coords, mono.exponents):
-            if e:
-                v *= c**e
-        vals.append(v)
+    vals = _matrix_rows(chart.weights, chart.basis, [coords], (1,), None)[0]
     if not any(vals):
         raise OutsideDomainError("all basis monomials vanish at the point")
     return vals

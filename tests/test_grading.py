@@ -15,6 +15,7 @@ from wpinterp import (
     hilbert_closed_form,
     semigroup_member,
 )
+from wpinterp import grading
 
 
 def brute_count(weights, d):
@@ -194,6 +195,51 @@ def test_table_concurrent_growth():
         t.join()
     assert not errors
     assert count_monomials(w, 3000) == count_monomials(fresh, 3000)
+
+
+def coin_count(weights, d):
+    """s_d from a fresh coin-counting DP up to d."""
+    if d < 0:
+        return 0
+    dp = [1] + [0] * d
+    for a in weights:
+        for t in range(a, d + 1):
+            dp[t] += dp[t - a]
+    return dp[d]
+
+
+def test_equal_weight_tuples_share_one_table():
+    entries = (1, 4, 9, 10)
+    assert entries not in grading._TABLES  # growth starts from nothing below
+    views = [Weights(entries), Weights((10, 9, 4, 1)), Weights(entries + (11,)).drop(4)]
+    assert all(v.a == entries for v in views)
+    for k, d in enumerate((5, 1000, 3, -1, 17, -40, 1000, 0)):
+        assert count_monomials(views[k % 3], d) == coin_count(entries, d)
+    assert count_monomials(views[0], 1000) == count_monomials(views[2], 1000)
+
+
+@pytest.mark.parametrize("nthreads", [2, 3, 4])
+def test_shared_table_concurrent_growth(nthreads):
+    entries = (1, 5, 11, 100 + nthreads)
+    assert entries not in grading._TABLES
+    degrees = [5, 1000, 3, -2, 2500, 40, -1, 1700, 16, 17, 33]
+    expected = {d: coin_count(entries, d) for d in degrees}
+    start = threading.Barrier(nthreads)
+    errors = []
+
+    def reader(t):
+        views = [Weights(entries), Weights(entries[::-1]), Weights(entries + (7,)).drop(2)]
+        start.wait()
+        for k, d in enumerate(degrees[t:] + degrees[:t]):
+            if count_monomials(views[(k + t) % 3], d) != expected[d]:
+                errors.append((t, d))
+
+    threads = [threading.Thread(target=reader, args=(t,)) for t in range(nthreads)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors
 
 
 def test_semigroup_member():

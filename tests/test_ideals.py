@@ -179,24 +179,52 @@ def test_point_ideal_line():
 
 def test_point_ideal_plane_interior_point():
     gens = point_ideal(WeightedPoint(W123, (1, 1, 1)))
-    assert len(gens) == 3
+    assert len(gens) == 2
     texts = [str(g) for g in gens]
-    assert texts == ["z^2 - u", "-z^2 + u", "-z*u + v"]
+    assert texts == ["z^2 - u", "-z*u + v"]
     for g in gens:
         assert g.is_homogeneous()
         assert g.evaluate((1, 1, 1)) == 0
 
 
 def test_point_ideal_plane_hc_collapse():
-    # when a zero appears among the relation coefficients two generators coincide
+    # when a zero appears among the relation coefficients two Herzog binomials
+    # agree up to sign; only the first is kept
     data = herzog_data(1, 2, 3)
     assert data.hc
     gens = point_ideal(WeightedPoint(W123, (1, 1, 1)))
-    first_two = {frozenset(g.terms.items()) for g in gens[:2]}
-    negated = {
-        frozenset((e, -c) for e, c in g.terms.items()) for g in gens[:2]
-    }
-    assert first_two == negated
+    assert len(gens) == 2
+    assert not _proportional(gens[0], gens[1])
+    assert gens[0] == SparsePoly(W123, {(2, 0, 0): 1, (0, 1, 0): -1})
+
+
+def _proportional(f, g):
+    if set(f.terms) != set(g.terms):
+        return False
+    e0 = next(iter(f.terms))
+    return all(f.terms[e] * g.terms[e0] == g.terms[e] * f.terms[e0] for e in f.terms)
+
+
+WELL_FORMED_PLANES = [
+    (a, b, c)
+    for a in range(1, 8)
+    for b in range(a, 8)
+    for c in range(b, 8)
+    if Weights((a, b, c)).well_formed
+]
+
+
+@pytest.mark.parametrize("entries", WELL_FORMED_PLANES, ids=lambda e: "-".join(map(str, e)))
+def test_point_ideal_plane_has_no_proportional_generators(entries):
+    w = Weights(entries)
+    for coords in ((1, 1, 1), (1, Fraction(1, 2), 3), (2, -1, 5), (0, 1, 1), (1, 0, 2), (3, 1, 0), (0, 0, 1)):
+        point = WeightedPoint(w, coords)
+        gens = point_ideal_plane(point)
+        for i, f in enumerate(gens):
+            assert not f.is_zero()
+            assert all(not _proportional(f, g) for g in gens[:i]), (entries, coords)
+            for lam in (1, -2, Fraction(1, 3)):
+                assert evaluate(f, point.scaled(lam)) == 0, (entries, coords, lam)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wpinterp import (
     CertificateError,
@@ -23,7 +25,7 @@ from wpinterp import (
 )
 from wpinterp import induction
 from wpinterp.cli import main
-from wpinterp.induction import json_document
+from wpinterp.induction import TerraciniChoice, json_document
 
 W123 = Weights((1, 2, 3))
 
@@ -46,6 +48,70 @@ def test_candidates_satisfy_their_windows():
                     assert cand.direction == "fill"
                     assert sbar <= nq <= lo
                     assert not lo <= nq <= sbar  # overlaps are deduplicated
+
+
+def reference_candidates(weights, d: int, r: int) -> list[TerraciniChoice]:
+    """The former q loop of terracini_candidates, kept verbatim as an oracle."""
+    w = weights if isinstance(weights, Weights) else Weights(weights)
+    if w[0] != 1:
+        raise UnsupportedWeightsError("the smallest weight must be 1")
+    n = w.n
+    out = []
+    for index in range(len(w)):
+        a_i = w[index]
+        s_shift = count_monomials(w, d - a_i)
+        sbar = count_monomials(w.drop(index), d)
+        lo = (n + 1) * r - s_shift
+        for q in range(1, r + 1):
+            nq = n * q
+            if lo <= nq <= sbar:
+                out.append(TerraciniChoice(index, a_i, q, "independent"))
+            elif sbar <= nq <= lo:
+                out.append(TerraciniChoice(index, a_i, q, "fill"))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(lambda rest: (1, *rest)),
+    d=st.integers(0, 80),
+    r=st.integers(0, 120),
+)
+@example(weights=(1, 2, 3), d=14, r=8)  # lo == sbar on the weight-3 hyperplane
+@example(weights=(1, 1, 1), d=5, r=7)  # the same tie with repeated weights
+@example(weights=(1, 2, 2, 3), d=8, r=6)  # and in P^3
+@example(weights=(1, 1), d=0, r=0)
+def test_candidates_match_the_q_loop(weights, d, r):
+    assert terracini_candidates(weights, d, r) == reference_candidates(weights, d, r)
+
+
+def test_teranum_windows_agree_with_dp_candidates():
+    # the closed forms of teranum_verify against the DP counts of the candidates
+    report = teranum_verify(6, 400)
+    checked, empty = 0, []
+    for d in range(6, 401):
+        s_d = count_monomials(W123, d)
+        for r in sorted({s_d // 3, -(-s_d // 3)}):
+            checked += 1
+            if not terracini_candidates(W123, d, r):
+                empty.append((d, r))
+    assert report.checked == checked
+    assert sorted(report.failures) == empty
+
+
+# sha256 of certificate_to_json(build_certificate(W123, d, r)): a refactor of
+# build_certificate's candidate order or of the counting must keep these bytes
+CERTIFICATE_SHA256 = {
+    (14, 8): "7d0b18972eb17f1584aac6bfc42549fc3973c90db44b3493ae1125ed66e996d5",
+    (44, 61): "3bc92f720efd45c06a54bfcb3b472188c15868c627f555e24194f82a7b2baac7",
+    (60, 111): "5e6517bfce943eef1dd52bab9b2b0abe7af2ee9fcb4ca2cfbe92f23de085a768",
+}
+
+
+@pytest.mark.parametrize("d,r", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_pinned(d, r):
+    text = certificate_to_json(build_certificate(W123, d, r))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[(d, r)]
 
 
 def test_candidates_require_unit_weight():

@@ -1,5 +1,7 @@
 """Monomial embeddings, tangent Jacobians, and secant dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
 from wpinterp import (
@@ -57,6 +59,35 @@ def test_outside_domain():
     chart = VeroneseChart(W123, 7)
     with pytest.raises(OutsideDomainError):
         veronese_image(chart, (0, 0, 1))  # no pure v monomial in odd degree
+
+
+def reference_image(chart, coords):
+    """The former per-cell loop of veronese_image, kept as an oracle."""
+    vals = []
+    for mono in chart.basis:
+        v = 1
+        for c, e in zip(coords, mono.exponents):
+            if e:
+                v *= c**e
+        vals.append(v)
+    return vals
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 1, 1), (1, 1, 2, 3), (1, 4)])
+@pytest.mark.parametrize(
+    "coords",
+    [(1, 2, 3, 4), (0, 5, -2, 1), (Fraction(1, 2), Fraction(-2, 3), 0, 7), (2, 0, 0, 0)],
+)
+def test_image_matches_per_cell_reference(entries, coords):
+    coords = coords[: len(entries)]
+    for d in range(max(entries), 13):
+        chart = VeroneseChart(Weights(entries), d)
+        expected = reference_image(chart, coords)
+        if any(expected):
+            assert veronese_image(chart, coords) == expected
+        else:
+            with pytest.raises(OutsideDomainError):
+                veronese_image(chart, coords)
 
 
 def test_image_is_equivariant():
