@@ -23,7 +23,6 @@ from .bounds import (
     triangle_lattice_check,
 )
 from .grading import (
-    Monomial,
     UnsupportedWeightsError,
     Weights,
     count_monomials,

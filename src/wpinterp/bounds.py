@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import Weights, count_monomials
-from .interpolation import FatPointConfig, hilbert_fat_points
 
 
 class BoundViolationError(RuntimeError):
@@ -36,7 +35,7 @@ def exception_sufficient(weights, r: int, d: int) -> bool:
     puts a nonzero form F of degree floor(d/2) through the reduced points;
     F^2 then lives in degree <= d while the expected dimension is zero.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     _require_unit_first(w)
     if r < 1 or d < 1:
         return False
@@ -49,7 +48,7 @@ def exception_classifier_div3(weights, d: int) -> bool:
     In this balanced case the sufficient test is also necessary, so the
     answer is exact: deficient iff s_d/3 < s_{floor(d/2)}.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     _require_unit_first(w)
     if len(w) != 3:
         raise ValueError("expected three weights")
@@ -66,7 +65,7 @@ def neck_condition(weights, r: int) -> bool:
     Returns True when the condition holds (independence everywhere is still
     possible), False when some degree is forced to be deficient.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     _require_unit_first(w)
     if len(w) != 3:
         raise ValueError("expected three weights")
@@ -174,25 +173,16 @@ class TriangleDecomposition:
         """s_d >= 3 s_{floor(d/2)} - 3 - floor(c/b) + #interior(T4)."""
         return self.total >= 3 * self.t1 - 3 - self.c // self.b + self.t4_interior
 
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "total": self.total,
-            "t1": self.t1,
-            "t2": self.t2,
-            "t3": self.t3,
-            "i12": self.i12,
-            "i23": self.i23,
-            "i13": self.i13,
-            "i13_cap": self.i13_cap,
-            "t4_interior": self.t4_interior,
-            "t4_bound": self.t4_bound,
-            "disjoint_middle": self.disjoint_middle,
-            "covered": self.covered,
-            "aggregate_holds": self.aggregate_holds,
-        }
+    @property
+    def holds(self) -> bool:
+        """Every clause of the audit: the regions, the i13 cap, T4 and the aggregate."""
+        return (
+            self.disjoint_middle
+            and self.covered
+            and self.i13 <= self.i13_cap
+            and (self.t4_bound is None or self.t4_interior >= self.t4_bound)
+            and self.aggregate_holds
+        )
 
 
 def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
@@ -281,7 +271,6 @@ class UniquenessRecord:
     c: int
     r: int | None
     d: int | None
-    deficiency: int | None
 
     @property
     def has_exception(self) -> bool:
@@ -299,39 +288,17 @@ class UniquenessReport:
     def exception_free(self) -> list[tuple[int, int]]:
         return [(rec.b, rec.c) for rec in self.records if not rec.has_exception]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_max": self.c_max,
-            "r_max": self.r_max,
-            "d_max": self.d_max,
-            "records": [
-                {
-                    "b": rec.b,
-                    "c": rec.c,
-                    "r": rec.r,
-                    "d": rec.d,
-                    "deficiency": rec.deficiency,
-                }
-                for rec in self.records
-            ],
-            "exception_free": self.exception_free,
-        }
 
-
-def classify_plane_123_uniqueness(
-    c_max: int = 8,
-    r_max: int = 8,
-    d_max: int = 48,
-    seed=0,
-    trials: int = 3,
-) -> UniquenessReport:
+def classify_plane_123_uniqueness(c_max: int = 8, r_max: int = 8, d_max: int = 48) -> UniquenessReport:
     """Search every well-formed P(1, b, c) with c <= c_max for deficient doubles.
 
-    For each plane the sufficient exception test is scanned over
-    (d, r) in increasing order; the first hit is confirmed by an actual
-    rank computation and recorded.  Planes with no confirmed witness in the
-    search box are reported as exception-free; (1, 2, 3) is expected to be
-    the only such plane, in this box and in any larger one.
+    For each plane the sufficient exception test is scanned over (d, r) in
+    increasing order, and the first hit is recorded as the plane's witness.
+    exception_sufficient proves the deficiency (the square of a form of
+    degree floor(d/2) through the points survives), so no rank is computed.
+    Planes with no witness in the search box are reported as
+    exception-free; (1, 2, 3) is expected to be the only such plane, in
+    this box and in any larger one.
     """
     records = []
     for b in range(1, c_max + 1):
@@ -339,20 +306,10 @@ def classify_plane_123_uniqueness(
             if math.gcd(b, c) != 1:
                 continue
             w = Weights((1, b, c))
-            found = None
-            for d in range(1, d_max + 1):
-                for r in range(1, r_max + 1):
-                    if not exception_sufficient(w, r, d):
-                        continue
-                    cfg = FatPointConfig(w, (2,) * r, seed=seed, trials=trials)
-                    prof = hilbert_fat_points(cfg, d)
-                    if prof.deficiency > 0:
-                        found = (r, d, prof.deficiency)
-                        break
-                if found:
-                    break
-            if found:
-                records.append(UniquenessRecord(b, c, found[0], found[1], found[2]))
-            else:
-                records.append(UniquenessRecord(b, c, None, None, None))
+            found = next(
+                ((r, d) for d in range(1, d_max + 1) for r in range(1, r_max + 1)
+                 if exception_sufficient(w, r, d)),
+                (None, None),
+            )
+            records.append(UniquenessRecord(b, c, *found))
     return UniquenessReport(c_max, r_max, d_max, tuple(records))

@@ -282,8 +282,13 @@ def cmd_terracini_trace(args) -> int:
     r = args.points
     if r < 0:
         raise argparse.ArgumentTypeError("--points must be nonnegative")
+    if _field_of(args) is not None:
+        raise argparse.ArgumentTypeError(
+            "terracini-trace samples its base ranks over random primes; --prime and --exact"
+            " are not supported"
+        )
     meta = _meta(args, "terracini-trace", w)
-    if tuple(w) != (1, 2, 3):
+    if w != (1, 2, 3):
         return _trace_candidates(args, meta, w, d, r)
     try:
         cert = build_certificate(w, d, r, seed=args.seed, trials=args.trials)
@@ -439,14 +444,7 @@ def cmd_verify_suite(args) -> int:
         for c in range(b, args.max_bc + 1):
             for d in range(2 * c, 12 * c + 1):
                 tri = triangle_lattice_check(b, c, d)
-                good = (
-                    tri.total == count_monomials(Weights((1, b, c)), d)
-                    and tri.disjoint_middle
-                    and tri.covered
-                    and tri.aggregate_holds
-                    and (tri.t4_bound is None or tri.t4_interior >= tri.t4_bound)
-                )
-                if not good:
+                if not (tri.holds and tri.total == count_monomials(Weights((1, b, c)), d)):
                     tri_ok = False
                     tri_detail = f"decomposition audit fails at b={b}, c={c}, d={d}"
     checks.append(("triangle-decomposition", tri_ok, tri_detail))

@@ -6,111 +6,75 @@ piece equals the number of solutions e in N_0^{n+1} of
 
     a_0 e_0 + a_1 e_1 + ... + a_n e_n = d,
 
-a coin-counting problem.  This module provides the universal counting
-oracle (dynamic programming, exact integers; one count table per weight
-tuple, shared by every Weights object with that tuple), monomial
-enumeration in a fixed deterministic order, and the closed forms that exist
-for one and two variables and for weights (1,2,3).
+a coin-counting problem.  A weight vector is a ``Weights``, a sorted tuple
+of positive ints, and a monomial is its exponent tuple e.  This module
+provides the universal counting oracle (dynamic programming, exact
+integers; one count table per weight tuple, shared by every equal
+Weights), monomial enumeration in a fixed deterministic order, and the
+closed forms that exist for one and two variables and for weights (1,2,3).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 
 class UnsupportedWeightsError(ValueError):
     """Weights outside the domain of the requested operation."""
 
 
-class Weights:
-    """Immutable weight vector (a_0,...,a_n), stored non-decreasing.
+class Weights(tuple):
+    """Weight vector (a_0,...,a_n): a sorted tuple of positive integers.
 
-    The constructor sorts its input and records the sorting permutation in
-    ``sort_order`` (``a[k] == input[sort_order[k]]``).  ``well_formed`` is
-    True when dropping any single weight leaves a gcd of 1; ill-formed
-    weights are accepted, the flag just reports it.
+    The constructor converts its entries to int, validates them and sorts
+    them; a Weights passed in is returned unchanged.  A Weights equals the
+    plain tuple of its entries.  ``well_formed`` is True when dropping any
+    single weight leaves a gcd of 1; ill-formed weights are accepted, the
+    flag just reports it.
     """
 
-    __slots__ = ("a", "sort_order")
+    __slots__ = ()
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
+        if type(entries) is Weights:
+            return entries
         entries = tuple(int(x) for x in entries)
         if not entries:
             raise UnsupportedWeightsError("need at least one weight")
         if any(x < 1 for x in entries):
             raise UnsupportedWeightsError(f"weights must be positive: {entries}")
-        order = sorted(range(len(entries)), key=lambda i: entries[i])
-        object.__setattr__(self, "a", tuple(entries[i] for i in order))
-        object.__setattr__(self, "sort_order", tuple(order))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Weights is immutable")
+        return super().__new__(cls, sorted(entries))
 
     @property
     def n(self) -> int:
         """Projective dimension: number of weights minus one."""
-        return len(self.a) - 1
+        return len(self) - 1
 
     @property
     def well_formed(self) -> bool:
-        if len(self.a) == 1:
-            return self.a[0] == 1
-        for i in range(len(self.a)):
-            rest = self.a[:i] + self.a[i + 1:]
-            if math.gcd(*rest) != 1:
-                return False
-        return True
+        if len(self) == 1:
+            return self[0] == 1
+        return all(math.gcd(*self[:i], *self[i + 1:]) == 1 for i in range(len(self)))
 
     def drop(self, index: int) -> "Weights":
-        """Weights of the hyperplane x_index = 0 (remove one variable)."""
-        if not 0 <= index < len(self.a):
+        """Weights of the hyperplane x_index = 0 (remove one variable).
+
+        A slice of sorted, validated weights is both, so it is wrapped as is.
+        """
+        if not 0 <= index < len(self):
             raise IndexError(index)
-        if len(self.a) == 1:
+        if len(self) == 1:
             raise UnsupportedWeightsError("cannot drop the only weight")
-        return Weights(self.a[:index] + self.a[index + 1:])
-
-    def __len__(self):
-        return len(self.a)
-
-    def __iter__(self):
-        return iter(self.a)
-
-    def __getitem__(self, i):
-        return self.a[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Weights):
-            return self.a == other.a
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.a)
+        return tuple.__new__(Weights, self[:index] + self[index + 1:])
 
     def __repr__(self):
-        return f"Weights{self.a}"
+        return f"Weights{tuple(self)}"
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector with its weighted degree."""
-
-    exponents: tuple
-    degree: int
-
-    @staticmethod
-    def of(exponents, weights: Weights) -> "Monomial":
-        e = tuple(int(x) for x in exponents)
-        return Monomial(e, sum(a * x for a, x in zip(weights, e)))
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-
-# s_0..s_N of each weight tuple, shared by every Weights object with that
-# tuple.  A table is replaced, never mutated, so readers need no lock.
+# s_0..s_N of each weight tuple, keyed by the weights themselves, so equal
+# Weights share one table.  A table is replaced, never mutated, so readers
+# need no lock.
 _TABLES: dict[tuple, list[int]] = {}
 _TABLES_LOCK = threading.Lock()
 
@@ -141,14 +105,14 @@ def count_monomials(w: Weights, d: int) -> int:
     """
     if d < 0:
         return 0
-    values = _TABLES.get(w.a)
+    values = _TABLES.get(w)
     if values is None or d >= len(values):
-        values = _grow(w.a, d)
+        values = _grow(w, d)
     return values[d]
 
 
-def enumerate_monomials(w: Weights, d: int) -> list[Monomial]:
-    """All monomials of weighted degree d, graded-lex descending.
+def enumerate_monomials(w: Weights, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the monomials of weighted degree d, graded-lex descending.
 
     With non-decreasing weights, descending lexicographic order on
     exponent vectors refines descending total degree, so this is the
@@ -157,20 +121,19 @@ def enumerate_monomials(w: Weights, d: int) -> list[Monomial]:
     """
     if d < 0:
         return []
-    a = w.a
-    n = len(a)
-    out: list[Monomial] = []
+    n = len(w)
+    out: list[tuple[int, ...]] = []
     cur = [0] * n
 
     def descend(i: int, rem: int) -> None:
         if i == n - 1:
-            if rem % a[i] == 0:
-                cur[i] = rem // a[i]
-                out.append(Monomial(tuple(cur), d))
+            if rem % w[i] == 0:
+                cur[i] = rem // w[i]
+                out.append(tuple(cur))
             return
-        for e in range(rem // a[i], -1, -1):
+        for e in range(rem // w[i], -1, -1):
             cur[i] = e
-            descend(i + 1, rem - e * a[i])
+            descend(i + 1, rem - e * w[i])
 
     descend(0, d)
     return out
@@ -210,14 +173,13 @@ def closed_form(w: Weights):
     (1,2,3).  Everything else, including two variables with gcd > 1,
     returns None.  Each function returns 0 for d < 0.
     """
-    a = w.a
-    if len(a) == 2:
-        if a[0] == 1:
-            return _one_b_closed_form(a[1])
-        if math.gcd(a[0], a[1]) == 1:
-            return _two_variable_closed_form(a[0], a[1])
+    if len(w) == 2:
+        if w[0] == 1:
+            return _one_b_closed_form(w[1])
+        if math.gcd(*w) == 1:
+            return _two_variable_closed_form(*w)
         return None
-    if a == (1, 2, 3):
+    if w == (1, 2, 3):
         return _s123
     return None
 

@@ -163,8 +163,7 @@ class WeightedPoint:
     __slots__ = ("weights", "coords")
 
     def __init__(self, weights: Weights, coords):
-        if not isinstance(weights, Weights):
-            weights = Weights(weights)
+        weights = Weights(weights)
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != len(weights):
             raise ValueError("coordinate length does not match the weights")

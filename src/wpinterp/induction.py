@@ -69,7 +69,7 @@ def terracini_candidates(weights, d: int, r: int) -> list[TerraciniChoice]:
     and "fill" otherwise (_q_window), so a q on a shared endpoint is reported
     once, as "independent".  Ordered by index, then q.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     if w[0] != 1:
         raise UnsupportedWeightsError("the smallest weight must be 1")
     n = w.n
@@ -129,7 +129,7 @@ class ChandlerRecord:
 
 def chandler_inequality(weights, d: int, i: int, q: int, r: int) -> ChandlerRecord:
     """Decide the trace criterion for specializing q of r points; i is the weight."""
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     index = next((j for j in range(len(w)) if w[j] == i), None)
     if index is None:
         raise ValueError(f"no variable of weight {i}")
@@ -381,8 +381,8 @@ def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> Certi
     trials), so a repeated subproblem reuses the node (or the failure) of its
     first visit, and the result is a DAG.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
-    if tuple(w) != (1, 2, 3):
+    w = Weights(weights)
+    if w != (1, 2, 3):
         raise UnsupportedWeightsError("certificates are implemented for weights (1, 2, 3)")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")

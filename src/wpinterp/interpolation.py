@@ -154,7 +154,7 @@ class FatPointConfig:
     trials: int = 3
 
     def __post_init__(self):
-        w = self.weights if isinstance(self.weights, Weights) else Weights(self.weights)
+        w = Weights(self.weights)
         object.__setattr__(self, "weights", w)
         mults = tuple(int(m) for m in self.multiplicities)
         if any(m < 1 for m in mults):
@@ -229,7 +229,7 @@ class EvaluationMatrix:
 
 def _low_columns(basis, multiplicity: int) -> list[int]:
     """Columns of the monomials of total degree at most multiplicity - 2."""
-    return [col for col, mono in enumerate(basis) if mono.total_degree <= multiplicity - 2]
+    return [col for col, e in enumerate(basis) if sum(e) <= multiplicity - 2]
 
 
 def _derivative_tables(coords, tops, order: int, prime) -> list[list[list]]:
@@ -289,13 +289,13 @@ def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list
     operators and extra rows are found once per distinct multiplicity.
     """
     nvars = len(weights)
-    columns = list(zip(*[mono.exponents for mono in basis])) or [()] * nvars
+    columns = list(zip(*basis)) or [()] * nvars
     tops = [max(col, default=0) for col in columns]
     per_mult = {}
     for m in set(multiplicities):
         low_rows = []
         for col in _low_columns(basis, m):
-            val = math.prod(math.factorial(e) for e in basis[col].exponents)
+            val = math.prod(map(math.factorial, basis[col]))
             low_rows.append((col, val % prime if prime else val))
         per_mult[m] = derivative_operators(nvars, m - 1), low_rows
     rows = []
@@ -449,7 +449,7 @@ def line_interpolation_formula(weights, multiplicities, degree: int) -> int:
     built: the value is s_d below the critical degree b*(a*M - 1) with
     M = sum of the multiplicities, and M at or beyond it.
     """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     if len(w) != 2:
         raise ValueError("expected two weights")
     a, b = w[0], w[1]
@@ -465,5 +465,5 @@ def line_interpolation_formula(weights, multiplicities, degree: int) -> int:
 
 def simple_points_hilbert(weights, r: int, degree: int) -> int:
     """Expected (and actual, generically) value for r simple points."""
-    w = weights if isinstance(weights, Weights) else Weights(weights)
+    w = Weights(weights)
     return min(count_monomials(w, degree), r)

@@ -29,13 +29,13 @@ class VeroneseChart:
     degree: int
 
     def __post_init__(self):
-        w = self.weights if isinstance(self.weights, Weights) else Weights(self.weights)
+        w = Weights(self.weights)
         object.__setattr__(self, "weights", w)
         if w[0] != 1:
             raise UnsupportedWeightsError("the smallest weight must be 1")
-        if self.degree < w[len(w) - 1]:
+        if self.degree < w[-1]:
             raise UnsupportedWeightsError(
-                f"degree {self.degree} is below the largest weight {w[len(w) - 1]}; "
+                f"degree {self.degree} is below the largest weight {w[-1]}; "
                 "the monomial map is not an embedding there"
             )
 

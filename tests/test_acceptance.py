@@ -297,10 +297,7 @@ def test_criterion_10_bound_inequality():
                 dec = triangle_lattice_check(b, c, d)
                 assert dec.total == count_monomials(w, d)
                 assert dec.t1 == count_monomials(w, d // 2)
-                assert dec.disjoint_middle and dec.covered
-                if dec.t4_bound is not None:
-                    assert dec.t4_interior >= dec.t4_bound
-                    assert dec.aggregate_holds
+                assert dec.holds
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     print(f"criterion 10: PASS halving bound and triangle audit for b <= c <= 12, {elapsed:.1f}s")

@@ -1,5 +1,6 @@
 """Exception tests, the thirds inequality, and the triangle decomposition audit."""
 
+import dataclasses
 import math
 
 import pytest
@@ -112,12 +113,21 @@ def test_triangle_decomposition_audit(b, c):
         assert dec.total == count_monomials(w, d)
         assert dec.t1 == count_monomials(w, d // 2)
         assert dec.t1 == dec.t2 == dec.t3
-        assert dec.i13 <= dec.i13_cap
-        assert dec.disjoint_middle
-        assert dec.covered
-        if dec.t4_bound is not None:
-            assert dec.t4_interior >= dec.t4_bound
-            assert dec.aggregate_holds
+        assert dec.holds
+
+
+@pytest.mark.parametrize("change", [
+    {"disjoint_middle": False},
+    {"covered": False},
+    {"i13": 4},  # i13_cap is 3 at (2, 5)
+    {"t4_interior": 5},  # below t4_bound = 7 at d = 50 >= 10c
+    {"total": 100},  # the aggregate needs 3 t1 - 5 + t4_interior
+])
+def test_triangle_holds_needs_every_clause(change):
+    dec = triangle_lattice_check(2, 5, 50)
+    assert dec.holds
+    assert (dec.i13_cap, dec.t4_bound) == (3, 7)
+    assert not dataclasses.replace(dec, **change).holds
 
 
 def test_triangle_needs_room():
@@ -155,5 +165,4 @@ def test_plane_uniqueness_classifier():
     assert witnesses[(5, 6)] == (2, 12)
     for rec in report.records:
         if rec.has_exception:
-            assert rec.deficiency > 0
             assert exception_sufficient(Weights((1, rec.b, rec.c)), rec.r, rec.d)

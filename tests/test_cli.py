@@ -290,6 +290,18 @@ def test_trace_negative_points_is_usage_error(capsys, weights):
     assert "--points must be nonnegative" in err
 
 
+@pytest.mark.parametrize("weights", ["1,2,3", "1,1,2"])
+@pytest.mark.parametrize("field", [["--prime", "8"], ["--prime", "1000003"], ["--exact"]])
+def test_trace_field_options_are_usage_errors(capsys, weights, field):
+    # base ranks always come from fresh random primes, so a field option would be mislabelled
+    with pytest.raises(SystemExit) as exc:
+        main(["terracini-trace", "--weights", weights, "--deg", "14", "--points", "8", *field])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--prime and --exact are not supported" in err
+
+
 def test_hilbert_without_closed_form_is_dp_at_every_degree(capsys):
     code, out, _ = run(
         capsys, ["hilbert", "--weights", "2,4", "--deg=-2..1", "--format", "csv"]

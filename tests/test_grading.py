@@ -5,9 +5,10 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpinterp import (
-    Monomial,
     UnsupportedWeightsError,
     Weights,
     count_monomials,
@@ -63,11 +64,10 @@ def test_enumerate_matches_count_and_order(entries):
     for d in range(26):
         monos = enumerate_monomials(w, d)
         assert len(monos) == count_monomials(w, d)
-        assert all(m.degree == d for m in monos)
-        expos = [m.exponents for m in monos]
-        assert len(set(expos)) == len(expos)
+        assert all(sum(a * e for a, e in zip(w, expos)) == d for expos in monos)
+        assert len(set(monos)) == len(monos)
         # lexicographic descending, which refines total degree for sorted weights
-        assert expos == sorted(expos, reverse=True)
+        assert monos == sorted(monos, reverse=True)
     assert enumerate_monomials(w, -2) == []
 
 
@@ -125,40 +125,65 @@ def test_well_formed(entries, expected):
 
 def test_weights_sorted_with_permutation():
     w = Weights((3, 1, 2))
-    assert w.a == (1, 2, 3)
-    inp = (3, 1, 2)
-    assert all(w.a[k] == inp[w.sort_order[k]] for k in range(3))
+    assert w == (1, 2, 3)
+    assert type(w) is Weights and isinstance(w, tuple)
     assert w.n == 2
     assert len(w) == 3
     assert list(w) == [1, 2, 3]
     assert w[2] == 3
     assert w == Weights((1, 2, 3))
-    assert hash(w) == hash(Weights((2, 3, 1)))
+    assert hash(w) == hash(Weights((2, 3, 1))) == hash((1, 2, 3))
+    assert repr(w) == "Weights(1, 2, 3)"
+    assert repr(Weights([4])) == "Weights(4,)"
+    assert Weights(["2", 1.0]) == (1, 2)
 
 
 def test_weights_immutable():
     w = Weights((1, 2))
     with pytest.raises(AttributeError):
-        w.a = (1, 3)
+        w.n = 3
+    with pytest.raises(AttributeError):
+        w.extra = (1, 3)
+    with pytest.raises(TypeError):
+        w[0] = 5
 
 
 def test_weights_validation():
-    with pytest.raises(UnsupportedWeightsError):
+    with pytest.raises(UnsupportedWeightsError, match="^need at least one weight$"):
         Weights(())
-    with pytest.raises(UnsupportedWeightsError):
+    with pytest.raises(UnsupportedWeightsError, match=r"^weights must be positive: \(1, 0\)$"):
         Weights((1, 0))
-    with pytest.raises(UnsupportedWeightsError):
+    with pytest.raises(UnsupportedWeightsError, match=r"^weights must be positive: \(-2, 3\)$"):
         Weights((-2, 3))
 
 
 def test_drop():
     w = Weights((1, 2, 3))
-    assert w.drop(0).a == (2, 3)
-    assert w.drop(2).a == (1, 2)
+    assert w.drop(0) == (2, 3)
+    assert w.drop(2) == (1, 2)
     with pytest.raises(IndexError):
         w.drop(3)
-    with pytest.raises(UnsupportedWeightsError):
+    with pytest.raises(IndexError):
+        w.drop(-1)
+    with pytest.raises(UnsupportedWeightsError, match="^cannot drop the only weight$"):
         Weights((2,)).drop(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5), st.data())
+def test_weights_is_the_sorted_tuple(entries, data):
+    w = Weights(entries)
+    assert Weights(w) is w
+    assert w == tuple(sorted(entries))
+    assert hash(w) == hash(tuple(sorted(entries)))
+    if len(w) == 1:
+        return
+    i = data.draw(st.integers(0, len(w) - 1))
+    dropped = w.drop(i)
+    assert type(dropped) is Weights
+    assert dropped == Weights(w[:i] + w[i + 1:])
+    for d in (0, 1, 7, 30, 61):
+        assert count_monomials(dropped, d) == coin_count(w[:i] + w[i + 1:], d)
 
 
 def test_recursion_identity_random_systems():
@@ -212,7 +237,7 @@ def test_equal_weight_tuples_share_one_table():
     entries = (1, 4, 9, 10)
     assert entries not in grading._TABLES  # growth starts from nothing below
     views = [Weights(entries), Weights((10, 9, 4, 1)), Weights(entries + (11,)).drop(4)]
-    assert all(v.a == entries for v in views)
+    assert all(v == entries for v in views)
     for k, d in enumerate((5, 1000, 3, -1, 17, -40, 1000, 0)):
         assert count_monomials(views[k % 3], d) == coin_count(entries, d)
     assert count_monomials(views[0], 1000) == count_monomials(views[2], 1000)
@@ -251,11 +276,3 @@ def test_semigroup_member():
     w25 = Weights((2, 5))
     assert not semigroup_member(w25, 3)
     assert not semigroup_member(w25, -1)
-
-
-def test_monomial_of():
-    w = Weights((1, 2, 3))
-    m = Monomial.of((1, 1, 1), w)
-    assert m.degree == 6
-    assert m.total_degree == 3
-    assert m.exponents == (1, 1, 1)
