@@ -29,14 +29,10 @@ from .ideals import (
     point_ideal,
 )
 from .induction import (
-    CertificateError,
-    build_certificate,
-    chandler_inequality,
-    check_certificate,
     json_document,
     numeric_facts_verify,
     teranum_verify,
-    terracini_candidates,
+    terracini_trace,
 )
 from .interpolation import FatPointConfig, deficiency_table
 from .veronese import VeroneseChart, secant_dimension
@@ -226,61 +222,12 @@ def cmd_ah_check(args) -> int:
     return 0
 
 
-def _render_certificate(node, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    if node.kind == "base":
-        wit = node.witnesses
-        return [
-            f"{pad}base d={node.d} r={node.r}: rank {wit['actual']}/{wit['expected']}"
-            f" (trials {wit['trials']})"
-        ]
-    if node.kind == "chandler-leaf":
-        wit = node.witnesses
-        return [
-            f"{pad}trace d={wit['d']} i={wit['i']} q={wit['q']} r={wit['r']}:"
-            f" case {wit['case']} ok"
-        ]
-    ch = node.choice
-    wit = node.witnesses
-    lines = [
-        f"{pad}terracini d={node.d} r={node.r}: q={ch.q} into the weight-{ch.weight}"
-        f" hyperplane ({ch.direction}; nq={wit['nq']}, sbar_d={wit['sbar_d']})"
-    ]
-    for prem, child in zip(wit["premises"], node.children[1:]):
-        lines.append(
-            f"{pad}  premise d={prem['degree']}: required {prem['required']},"
-            f" certified {prem['certified']}"
-        )
-    for child in node.children:
-        lines.extend(_render_certificate(child, indent + 1))
-    return lines
-
-
-def _certificate_records(node, path: str = "root"):
-    rec = {"path": path, "kind": node.kind, "d": node.d, "r": node.r}
-    if node.choice:
-        rec.update(node.choice.to_json_dict())
-    yield rec
-    for k, child in enumerate(node.children):
-        yield from _certificate_records(child, f"{path}/{k}")
-
-
-def _tree_size(node, sizes: dict) -> int:
-    """Nodes of the certificate printed as a tree, counted once per DAG node."""
-    size = sizes.get(id(node))
-    if size is None:
-        size = sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in node.children)
-    return size
-
-
 def cmd_terracini_trace(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
     if len(args.deg) != 1:
         raise argparse.ArgumentTypeError("terracini-trace takes a single degree")
-    d = args.deg[0]
-    r = args.points
-    if r < 0:
+    if args.points < 0:
         raise argparse.ArgumentTypeError("--points must be nonnegative")
     if _field_of(args) is not None:
         raise argparse.ArgumentTypeError(
@@ -288,62 +235,15 @@ def cmd_terracini_trace(args) -> int:
             " are not supported"
         )
     meta = _meta(args, "terracini-trace", w)
-    if w != (1, 2, 3):
-        return _trace_candidates(args, meta, w, d, r)
-    try:
-        cert = build_certificate(w, d, r, seed=args.seed, trials=args.trials)
-    except CertificateError as err:
-        body = {"d": d, "r": r, "ok": False, "error": str(err)}
-        _render(args, meta, body, text=[f"FAIL d={d} r={r}: {err}"])
-        return 1
-    size = _tree_size(cert, {})
-    if size > MAX_TRACE_NODES:
+    report = terracini_trace(w, args.deg[0], args.points, seed=args.seed, trials=args.trials)
+    if report.tree_nodes > MAX_TRACE_NODES:
         raise argparse.ArgumentTypeError(
-            f"the certificate prints as {size} tree nodes, more than {MAX_TRACE_NODES};"
-            " build and check it through the library (build_certificate and"
-            " check_certificate) instead"
+            f"the certificate prints as {report.tree_nodes} tree nodes, more than"
+            f" {MAX_TRACE_NODES}; build and check it through the library (build_certificate"
+            " and check_certificate) instead"
         )
-    failures: list[str] = []
-    ok = check_certificate(cert, failures)
-    verdict = "accepted" if ok else "rejected"
-    _render(
-        args,
-        meta,
-        lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
-        ["path", "kind", "d", "r", "weight", "q", "direction"],
-        lambda: [*_certificate_records(cert), {"path": "check", "direction": verdict}],
-        lambda: _render_certificate(cert)
-        + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
-    )
-    return 0 if ok else 1
-
-
-def _trace_candidates(args, meta: dict, w: Weights, d: int, r: int) -> int:
-    candidates = terracini_candidates(w, d, r)
-    note = "certificate construction is implemented for weights (1, 2, 3) only"
-    body = {"d": d, "r": r, "candidates": [c.to_json_dict() for c in candidates], "note": note}
-    if not candidates:
-        _render(args, meta, body, text=[f"FAIL d={d} r={r}: no specialization candidate"])
-        return 1
-
-    def records():
-        return [
-            dict(c.to_json_dict(), trace_ok=chandler_inequality(w, d, c.weight, c.q, r).ok)
-            for c in candidates
-        ]
-
-    def text():
-        lines = [f"candidates for d={d}, r={r}:"]
-        for c in records():
-            lines.append(
-                f"  weight {c['weight']} (index {c['index']}), q={c['q']}, {c['direction']};"
-                f" premises at d={d - c['weight']} and d={d - 2 * c['weight']}"
-                f" with {r - c['q']} points; trace criterion {'ok' if c['trace_ok'] else 'fails'}"
-            )
-        return lines + [note]
-
-    _render(args, meta, body, records=records, text=text)
-    return 0
+    _render(args, meta, report.body, report.columns, report.records, report.text)
+    return 0 if report.ok else 1
 
 
 def cmd_point_ideal(args) -> int:
@@ -425,29 +325,23 @@ def cmd_verify_suite(args) -> int:
     rep = numeric_facts_verify(6, args.max_deg)
     checks.append(("numeric-facts", rep.ok, f"d in [6, {args.max_deg}]"))
 
-    bound_ok = True
-    detail = []
+    pairs = [(b, c) for b in range(1, args.max_bc + 1) for c in range(b, args.max_bc + 1)]
     try:
-        for b in range(1, args.max_bc + 1):
-            for c in range(b, args.max_bc + 1):
-                interpolation_bound_check(b, c, range(2 * c, 12 * c + 1))
+        for b, c in pairs:
+            interpolation_bound_check(b, c, range(2 * c, 12 * c + 1))
+        checks.append(("bound-inequality", True, f"b <= c <= {args.max_bc}, d <= 12c"))
     except BoundViolationError as err:
-        bound_ok = False
-        detail.append(str(err))
-    checks.append(
-        ("bound-inequality", bound_ok, detail[0] if detail else f"b <= c <= {args.max_bc}, d <= 12c")
-    )
+        checks.append(("bound-inequality", False, str(err)))
 
-    tri_ok = True
-    tri_detail = f"b <= c <= {args.max_bc}, 2c <= d <= 12c"
-    for b in range(1, args.max_bc + 1):
-        for c in range(b, args.max_bc + 1):
-            for d in range(2 * c, 12 * c + 1):
-                tri = triangle_lattice_check(b, c, d)
-                if not (tri.holds and tri.total == count_monomials(Weights((1, b, c)), d)):
-                    tri_ok = False
-                    tri_detail = f"decomposition audit fails at b={b}, c={c}, d={d}"
-    checks.append(("triangle-decomposition", tri_ok, tri_detail))
+    for b, c, d in ((b, c, d) for b, c in pairs for d in range(2 * c, 12 * c + 1)):
+        tri = triangle_lattice_check(b, c, d)
+        if not (tri.holds and tri.total == count_monomials(Weights((1, b, c)), d)):
+            detail = f"decomposition audit fails at b={b}, c={c}, d={d}"
+            checks.append(("triangle-decomposition", False, detail))
+            break
+    else:
+        detail = f"b <= c <= {args.max_bc}, 2c <= d <= 12c"
+        checks.append(("triangle-decomposition", True, detail))
 
     status = {True: "PASS", False: "FAIL"}
     body = {"checks": [{"check": name, "ok": ok, "detail": det} for name, ok, det in checks]}
@@ -541,7 +435,7 @@ def main(argv=None) -> int:
     except (UnsupportedWeightsError, UnsupportedConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (BoundViolationError, CertificateError) as err:
+    except BoundViolationError as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 1
 

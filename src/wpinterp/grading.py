@@ -141,9 +141,6 @@ def enumerate_monomials(w: Weights, d: int) -> list[tuple[int, ...]]:
 
 def _two_variable_closed_form(a: int, b: int):
     # s_d = floor(qd/b) - floor(pd/a) with aq - bp = 1, plus 1 when a | d
-    g = math.gcd(a, b)
-    if g != 1:
-        raise UnsupportedWeightsError(f"two-variable closed form needs gcd=1, got gcd({a},{b})={g}")
     q = pow(a, -1, b)
     p = (a * q - 1) // b
 
@@ -155,13 +152,6 @@ def _two_variable_closed_form(a: int, b: int):
     return s
 
 
-def _one_b_closed_form(b: int):
-    def s(d: int) -> int:
-        return d // b + 1 if d >= 0 else 0
-
-    return s
-
-
 def _s123(d: int) -> int:
     return (d * d + 6 * d + 12) // 12 if d >= 0 else 0  # floor(d^2/12 + d/2 + 1)
 
@@ -169,16 +159,12 @@ def _s123(d: int) -> int:
 def closed_form(w: Weights):
     """d -> s_d as a plain function where a closed form exists, else None.
 
-    Supported: two variables (a,b) with gcd 1, the special case (1,b), and
-    (1,2,3).  Everything else, including two variables with gcd > 1,
+    Supported: two variables (a,b) with gcd 1, which includes every (1,b),
+    and (1,2,3).  Everything else, including two variables with gcd > 1,
     returns None.  Each function returns 0 for d < 0.
     """
     if len(w) == 2:
-        if w[0] == 1:
-            return _one_b_closed_form(w[1])
-        if math.gcd(*w) == 1:
-            return _two_variable_closed_form(*w)
-        return None
+        return _two_variable_closed_form(*w) if math.gcd(*w) == 1 else None
     if w == (1, 2, 3):
         return _s123
     return None

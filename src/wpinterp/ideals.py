@@ -256,13 +256,21 @@ class HerzogData:
 
 
 def _minimal_relation(lhs: int, mid: int, low: int):
+    """Least r >= 1 with r*lhs = k*mid + g*low for some k, g >= 0, and its least k.
+
+    With t = r*lhs and h = gcd(mid, low), k*mid = t (mod low) needs h | t, and
+    its least solution k = (t/h) (mid/h)^-1 mod low/h must have k*mid <= t.
+    """
+    h = math.gcd(mid, low)
+    period = low // h
+    inverse = pow(mid // h, -1, period)
     for r in range(1, 10**6):
         target = r * lhs
-        for k in range(target // mid + 1):
-            rem = target - k * mid
-            if rem % low == 0:
-                return r, k, rem // low
-    raise UnsupportedConfigurationError("no relation found; weights look degenerate")
+        if target % h == 0:
+            k = target // h * inverse % period
+            if k * mid <= target:
+                return r, k, (target - k * mid) // low
+    raise UnsupportedConfigurationError("the search bound was exceeded: no relation with r < 10^6")
 
 
 def herzog_data(a: int, b: int, c: int) -> HerzogData:

@@ -21,8 +21,8 @@ once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
 from .interpolation import FatPointConfig, hilbert_fat_points, line_interpolation_formula
@@ -312,6 +312,107 @@ def _write_node(node: CertificateNode, level: int, out: list, heads: dict):
     out.append(f"{pad}  ]{pad}}}")
 
 
+def _tree_size(node: CertificateNode, sizes: dict) -> int:
+    """Nodes of the certificate printed as a tree, counted once per DAG node."""
+    size = sizes.get(id(node))
+    if size is None:
+        size = sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in node.children)
+    return size
+
+
+def _tree_walk(root: CertificateNode):
+    """(path, depth, node) for each node of the certificate printed as a tree, in pre-order."""
+    stack = [("root", 0, root)]
+    while stack:
+        path, depth, node = stack.pop()
+        yield path, depth, node
+        stack += [(f"{path}/{k}", depth + 1, child) for k, child in enumerate(node.children)][::-1]
+
+
+def _trace_lines(root: CertificateNode) -> list[str]:
+    """The text trace: a line per tree node, indented by depth, and a step's premises."""
+    lines = []
+    for _, depth, node in _tree_walk(root):
+        pad = "  " * depth
+        wit = node.witnesses
+        if node.kind == "base":
+            lines.append(
+                f"{pad}base d={node.d} r={node.r}: rank {wit['actual']}/{wit['expected']}"
+                f" (trials {wit['trials']})"
+            )
+        elif node.kind == "chandler-leaf":
+            lines.append(
+                f"{pad}trace d={wit['d']} i={wit['i']} q={wit['q']} r={wit['r']}:"
+                f" case {wit['case']} ok"
+            )
+        else:
+            ch = node.choice
+            lines.append(
+                f"{pad}terracini d={node.d} r={node.r}: q={ch.q} into the weight-{ch.weight}"
+                f" hyperplane ({ch.direction}; nq={wit['nq']}, sbar_d={wit['sbar_d']})"
+            )
+            lines += [
+                f"{pad}  premise d={prem['degree']}: required {prem['required']},"
+                f" certified {prem['certified']}"
+                for prem in wit["premises"]
+            ]
+    return lines
+
+
+class TraceReport(NamedTuple):
+    """terracini-trace's outcome, and payloads as cli._render takes them."""
+
+    ok: bool
+    tree_nodes: int  # of the certificate printed as a tree, 0 without one
+    body: object
+    text: object
+    columns: list | None = None
+    records: object = None
+
+
+def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceReport:
+    """Build and check the certificate for (d, r); on other weights, list the candidate steps."""
+    w = Weights(weights)
+    if _certifiable(w):
+        try:
+            cert = build_certificate(w, d, r, seed=seed, trials=trials)
+        except CertificateError as err:
+            body = {"d": d, "r": r, "ok": False, "error": str(err)}
+            return TraceReport(False, 0, body, [f"FAIL d={d} r={r}: {err}"])
+        failures: list[str] = []
+        ok = check_certificate(cert, failures)
+        verdict = "accepted" if ok else "rejected"
+        return TraceReport(
+            ok,
+            _tree_size(cert, {}),
+            lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
+            lambda: _trace_lines(cert)
+            + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
+            ["path", "kind", "d", "r", "weight", "q", "direction"],
+            lambda: [
+                {"path": path, "kind": node.kind, "d": node.d, "r": node.r,
+                 **(node.choice.to_json_dict() if node.choice else {})}
+                for path, _, node in _tree_walk(cert)
+            ] + [{"path": "check", "direction": verdict}],
+        )
+    candidates = terracini_candidates(w, d, r)
+    note = "certificate construction is implemented for weights (1, 2, 3) only"
+    body = {"d": d, "r": r, "candidates": [c.to_json_dict() for c in candidates], "note": note}
+    if not candidates:
+        return TraceReport(False, 0, body, [f"FAIL d={d} r={r}: no specialization candidate"])
+    records, text = [], [f"candidates for d={d}, r={r}:"]
+    for c in candidates:
+        trace_ok = chandler_inequality(w, d, c.weight, c.q, r).ok
+        records.append(dict(c.to_json_dict(), trace_ok=trace_ok))
+        t1, t2, m = _premises(d, r, c)
+        text.append(
+            f"  weight {c.weight} (index {c.index}), q={c.q}, {c.direction};"
+            f" premises at d={t1} and d={t2} with {m} points;"
+            f" trace criterion {'ok' if trace_ok else 'fails'}"
+        )
+    return TraceReport(True, 0, body, text + [note], records=records)
+
+
 def certificate_to_json(cert: CertificateNode) -> str:
     return json_document({"schema": _SCHEMA, "root": cert})
 
@@ -334,6 +435,16 @@ def certificate_from_json(text: str) -> CertificateNode:
         )
 
     return node(data["root"])
+
+
+def _certifiable(w: Weights) -> bool:
+    """Whether build_certificate constructs certificates on these weights."""
+    return w == (1, 2, 3)
+
+
+def _premises(d: int, r: int, choice: TerraciniChoice) -> tuple[int, int, int]:
+    """The premise degrees d - a and d - 2a of a step, and the r - q points each keeps."""
+    return d - choice.weight, d - 2 * choice.weight, r - choice.q
 
 
 def _premise_size(w: Weights, t: int, m: int) -> int:
@@ -382,7 +493,7 @@ def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> Certi
     first visit, and the result is a DAG.
     """
     w = Weights(weights)
-    if w != (1, 2, 3):
+    if not _certifiable(w):
         raise UnsupportedWeightsError("certificates are implemented for weights (1, 2, 3)")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")
@@ -445,8 +556,7 @@ def _build_node(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
         if not rec.ok:
             last = _Failure(f"{at}trace criterion fails for weight {choice.weight}, q={choice.q}")
             continue
-        m = r - choice.q
-        t1, t2 = d - choice.weight, d - 2 * choice.weight
+        t1, t2, m = _premises(d, r, choice)
         c1 = _premise_size(w, t1, m)
         c2 = _premise_size(w, t2, m)
         child1 = _build(w, t1, c1, seed, trials, memo)

@@ -1,21 +1,30 @@
 """End-to-end command-line checks against frozen output."""
 
 import contextlib
+import csv
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wpinterp import Weights, build_certificate, certificate_from_json, check_certificate
+from wpinterp import (
+    Weights,
+    build_certificate,
+    certificate_from_json,
+    check_certificate,
+    cli,
+    count_monomials,
+)
 from wpinterp.cli import (
     MAX_DEGREE,
     MAX_DEGREE_RANGE,
     MAX_TRACE_NODES,
     _parse_degrees,
-    _tree_size,
     main,
 )
+from wpinterp.induction import _tree_size
 
 WARN_23 = (
     "warning: weights (2, 3) are not well formed; "
@@ -118,6 +127,16 @@ def test_herzog_output(capsys):
         "  2*4 = 1*3 + 1*5",
         "  2*5 = 2*3 + 1*4",
     ]
+
+
+def test_herzog_large_weights_answer_or_exceed_the_search_bound(capsys):
+    code, out, _ = run(capsys, ["herzog", "--weights", "99991,100003,100019"])
+    assert code == 0
+    assert "  14289*99991 = 1*100003 + 14284*100019" in out
+    code, out, err = run(capsys, ["herzog", "--weights", "1000000007,1000000009,1000000021"])
+    assert code == 2
+    assert out == ""
+    assert "the search bound was exceeded" in err
 
 
 def test_secant_dim_output(capsys):
@@ -260,6 +279,40 @@ def test_trace_budget_admits_degree_70_and_rejects_80():
     assert _tree_size(build_certificate(w, 80, 191), {}) == 2_886_961 > MAX_TRACE_NODES
 
 
+TEXT_TRACE_KINDS = {"terracini": "terracini", "trace": "chandler-leaf", "base": "base"}
+
+
+@pytest.mark.parametrize("d", range(6, 41))
+def test_text_and_csv_traces_print_the_same_tree(capsys, d):
+    w = Weights((1, 2, 3))
+    s = count_monomials(w, d)
+    for r in sorted({s // 3, -(-s // 3)}):
+        size = _tree_size(build_certificate(w, d, r), {})
+        argv = ["terracini-trace", "--weights", "1,2,3", "--deg", str(d), "--points", str(r)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        text = [line for line in out.splitlines() if not line.startswith("#")]
+        assert text.pop() == "checker: accepted"
+        nodes = []
+        for line in text:
+            body = line.lstrip(" ")
+            if body.startswith("premise "):
+                continue
+            word, head = body.split(":")[0].split(" ", 1)
+            fields = dict(field.split("=") for field in head.split())
+            depth = (len(line) - len(body)) // 2
+            nodes.append((depth, TEXT_TRACE_KINDS[word], fields["d"], fields["r"]))
+        assert len(nodes) == size
+
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+        assert rows[0] == ["path", "kind", "d", "r", "weight", "q", "direction"]
+        assert rows[-1] == ["check", "", "", "", "", "", "accepted"]
+        assert len(rows) == 1 + size + 1
+        assert [(path.count("/"), kind, d_, r_) for path, kind, d_, r_, *_ in rows[1:-1]] == nodes
+
+
 @pytest.mark.parametrize("argv", [
     ["ah-check", "--weights", "1,1,1", "--deg", "3", "--points", "10", "--prime", "7"],
     ["secant-dim", "--weights", "1,1,1", "--deg", "3", "--rank", "10", "--prime", "7"],
@@ -371,6 +424,20 @@ def test_verify_suite_small(capsys):
     body = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(body) == 4
     assert all(line.startswith("PASS ") for line in body)
+
+
+def test_verify_suite_triangle_audit_names_its_first_failure(capsys, monkeypatch):
+    real = cli.triangle_lattice_check
+
+    def failing_at_two_points(b, c, d):
+        tri = real(b, c, d)
+        return SimpleNamespace(holds=(b, c, d) not in {(1, 2, 5), (2, 3, 9)}, total=tri.total)
+
+    monkeypatch.setattr(cli, "triangle_lattice_check", failing_at_two_points)
+    code, out, _ = run(capsys, ["verify-suite", "--max-deg", "100", "--max-bc", "3"])
+    assert code == 1
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body[-1] == "FAIL triangle-decomposition: decomposition audit fails at b=1, c=2, d=5"
 
 
 def test_version_flag(capsys):

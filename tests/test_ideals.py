@@ -1,14 +1,14 @@
 """Point ideals, scaling equivalence, and monomial-curve relations."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpinterp import (
     SparsePoly,
-    UnsupportedConfigurationError,
     UnsupportedWeightsError,
     WeightedPoint,
     Weights,
@@ -19,14 +19,19 @@ from wpinterp import (
     point_ideal_line,
     point_ideal_plane,
 )
+from wpinterp.ideals import _minimal_relation
 
 W123 = Weights((1, 2, 3))
 
 
-def brute_minimal_relation(w, mid, low):
-    """Least r with r*w = k*mid + g*low solvable, and its lex-least (k, g)."""
-    for r in range(1, 10000):
-        target = r * w
+def brute_minimal_relation(lhs, mid, low):
+    """Least r with r*lhs = k*mid + g*low solvable, and its lex-least (k, g).
+
+    The k-scan that ideals._minimal_relation ran before it found k in closed
+    form, loop for loop.
+    """
+    for r in range(1, 10**6):
+        target = r * lhs
         for k in range(target // mid + 1):
             rem = target - k * mid
             if rem % low == 0:
@@ -156,6 +161,12 @@ def test_herzog_minimality(triple):
     assert (data.r[1], data.k[1], data.g[1]) == brute_minimal_relation(b, a, c)
     assert (data.r[2], data.k[2], data.g[2]) == brute_minimal_relation(c, a, b)
     assert data.hc == (0 in data.k or 0 in data.g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
+def test_minimal_relation_matches_the_k_scan(lhs, mid, low):
+    assert _minimal_relation(lhs, mid, low) == brute_minimal_relation(lhs, mid, low)
 
 
 def test_herzog_requires_coprime_triple():

@@ -11,7 +11,6 @@ from wpinterp import (
     FatPointConfig,
     FieldTooSmallError,
     SparsePoly,
-    WeightedPoint,
     Weights,
     ah_profile_scan,
     build_evaluation_matrix,
