@@ -14,8 +14,11 @@ arithmetic criterion in the style of Chandler, checked exactly here.
 A certificate is the recursion as a DAG with shared subproblems: every inner
 node records its choice, its inequality witnesses, and the premise
 reductions; leaves are small enough to verify by a direct rank computation.
-The checker replays everything from monomial counts alone, each distinct node
-once.
+A node's content is a function of its weights, (d, r), choice and premise
+sizes, stated once (_base_witnesses, _step_witnesses, _trace_leaf).  The
+checker re-derives each distinct node with that code, once, children first
+(_dag), compares it whole with the stored node, and applies the proof rules;
+the root's weights, d and r state the claim.
 """
 
 from __future__ import annotations
@@ -110,21 +113,7 @@ class ChandlerRecord:
     extra: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "case": self.case,
-            "d": self.d,
-            "i": self.i,
-            "q": self.q,
-            "r": self.r,
-            "s_d_minus_i": self.s_d_minus_i,
-            "s_d_minus_2i": self.s_d_minus_2i,
-            "sbar_d": self.sbar_d,
-            "sbar_d_minus_i": self.sbar_d_minus_i,
-            "h1": self.h1,
-            "h2": self.h2,
-            "extra": self.extra,
-        }
+        return dict(vars(self))  # every field, in declaration order
 
 
 def chandler_inequality(weights, d: int, i: int, q: int, r: int) -> ChandlerRecord:
@@ -312,12 +301,28 @@ def _write_node(node: CertificateNode, level: int, out: list, heads: dict):
     out.append(f"{pad}  ]{pad}}}")
 
 
-def _tree_size(node: CertificateNode, sizes: dict) -> int:
+def _dag(root: CertificateNode) -> list[CertificateNode]:
+    """The distinct node objects of a certificate, each after all of its children."""
+    order, seen = [], {id(root)}
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            order.append(node)
+        elif id(child) not in seen:
+            seen.add(id(child))
+            stack.append((child, iter(child.children)))
+    return order
+
+
+def _tree_size(root: CertificateNode) -> int:
     """Nodes of the certificate printed as a tree, counted once per DAG node."""
-    size = sizes.get(id(node))
-    if size is None:
-        size = sizes[id(node)] = 1 + sum(_tree_size(child, sizes) for child in node.children)
-    return size
+    sizes: dict = {}
+    for node in _dag(root):
+        sizes[id(node)] = 1 + sum(sizes[id(child)] for child in node.children)
+    return sizes[id(root)]
 
 
 def _tree_walk(root: CertificateNode):
@@ -384,7 +389,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
         verdict = "accepted" if ok else "rejected"
         return TraceReport(
             ok,
-            _tree_size(cert, {}),
+            _tree_size(cert),
             lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
             lambda: _trace_lines(cert)
             + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
@@ -417,24 +422,50 @@ def certificate_to_json(cert: CertificateNode) -> str:
     return json_document({"schema": _SCHEMA, "root": cert})
 
 
+_NODE_TYPES = dict(kind=(str,), weights=(list,), d=(int,), r=(int,), choice=(dict, type(None)),
+                   witnesses=(dict,), children=(list,))
+_CHOICE_TYPES = dict(index=(int,), weight=(int,), q=(int,), direction=(str,))
+
+
+def _typed(obj, types: dict) -> bool:
+    """Whether ``obj`` is a JSON object with exactly these keys and value types."""
+    return (
+        type(obj) is dict
+        and obj.keys() == types.keys()
+        and all(type(obj[key]) in allowed for key, allowed in types.items())
+    )
+
+
 def certificate_from_json(text: str) -> CertificateNode:
-    data = json.loads(text)
-    if data.get("schema") != _SCHEMA:
-        raise CertificateError(f"unknown schema {data.get('schema')!r}")
+    """Read what certificate_to_json writes; any other document is a CertificateError."""
+    try:
+        data = json.loads(text)
+    except ValueError as err:
+        raise CertificateError(f"not JSON: {err}") from None
+    schema = data.get("schema") if type(data) is dict else None
+    if schema != _SCHEMA:
+        raise CertificateError(f"unknown schema {schema!r}")
 
     def node(obj) -> CertificateNode:
+        if not (
+            _typed(obj, _NODE_TYPES)
+            and obj["weights"]
+            and all(type(a) is int and a > 0 for a in obj["weights"])
+            and (obj["choice"] is None or _typed(obj["choice"], _CHOICE_TYPES))
+        ):
+            raise CertificateError(f"malformed certificate node {obj!r:.80}")
         choice = obj["choice"]
         return CertificateNode(
             kind=obj["kind"],
             weights=Weights(obj["weights"]),
             d=obj["d"],
             r=obj["r"],
-            choice=TerraciniChoice(**choice) if choice else None,
+            choice=TerraciniChoice(**choice) if choice is not None else None,
             witnesses=obj["witnesses"],
             children=[node(ch) for ch in obj["children"]],
         )
 
-    return node(data["root"])
+    return node(data.get("root"))
 
 
 def _certifiable(w: Weights) -> bool:
@@ -458,12 +489,7 @@ def _premise_size(w: Weights, t: int, m: int) -> int:
     if m <= 0:
         return 0
     s = count_monomials(w, t)
-    lo, hi = s // 3, -(-s // 3)
-    if m < lo:
-        return lo
-    if m > hi:
-        return hi
-    return m
+    return min(max(m, s // 3), -(-s // 3))
 
 
 def _valid_reduction(required: int, certified: int, s_t: int) -> bool:
@@ -474,8 +500,47 @@ def _valid_reduction(required: int, certified: int, s_t: int) -> bool:
     return 3 * certified >= s_t
 
 
-def _base_seed(seed, d: int, r: int) -> str:
-    return f"{seed}|base|{d}|{r}"
+def _base_witnesses(w: Weights, d: int, r: int, seed: str, trials: int) -> dict:
+    """A base node's witnesses: the rank of r double points sampled from ``seed``."""
+    s_d = count_monomials(w, d)
+    prof = hilbert_fat_points(FatPointConfig(w, (2,) * r, seed=seed, trials=trials), d)
+    return {
+        "s_d": s_d,
+        "expected": min(s_d, 3 * r),
+        "actual": prof.actual,
+        "trials": prof.trials,
+        "seed": seed,
+    }
+
+
+def _step_witnesses(
+    w: Weights, d: int, r: int, choice: TerraciniChoice, certified: list[int]
+) -> dict:
+    """A step's witnesses, given the sizes its two premises certify."""
+    t1, t2, m = _premises(d, r, choice)
+    line = w.drop(choice.index)
+    return {
+        "s_d": count_monomials(w, d),
+        "s_d_minus_i": count_monomials(w, t1),
+        "s_d_minus_2i": count_monomials(w, t2),
+        "sbar_d": count_monomials(line, d),
+        "nq": w.n * choice.q,
+        "line": {
+            "weights": list(line),
+            "doubles": choice.q,
+            "degree": d,
+            "hilbert": line_interpolation_formula(line, (2,) * choice.q, d),
+        },
+        "premises": [
+            {"degree": t, "required": m, "certified": c} for t, c in zip((t1, t2), certified)
+        ],
+    }
+
+
+def _trace_leaf(w: Weights, d: int, r: int, choice: TerraciniChoice) -> CertificateNode:
+    """A step's first child: the trace criterion's record, whose "ok" says if it holds."""
+    rec = chandler_inequality(w, d, choice.weight, choice.q, r)
+    return CertificateNode("chandler-leaf", w, d, r, None, rec.to_json_dict(), [])
 
 
 def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> CertificateNode:
@@ -530,30 +595,20 @@ def _build(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
 
 
 def _build_node(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
-    s_d = count_monomials(w, d)
     if d <= 5 or r == 0:
-        expected = min(s_d, 3 * r)
-        cfg = FatPointConfig(w, (2,) * r, seed=_base_seed(seed, d, r), trials=trials)
-        prof = hilbert_fat_points(cfg, d)
-        if prof.actual != expected:
+        wit = _base_witnesses(w, d, r, f"{seed}|base|{d}|{r}", trials)
+        if wit["actual"] != wit["expected"]:
             return _Failure(
-                f": base case d={d}, r={r} has rank {prof.actual}, expected {expected}"
+                f": base case d={d}, r={r} has rank {wit['actual']}, expected {wit['expected']}"
             )
-        witnesses = {
-            "s_d": s_d,
-            "expected": expected,
-            "actual": prof.actual,
-            "trials": prof.trials,
-            "seed": _base_seed(seed, d, r),
-        }
-        return CertificateNode("base", w, d, r, None, witnesses, [])
+        return CertificateNode("base", w, d, r, None, wit, [])
     # Ordered by index, then q: a stable sort puts the largest weight first.
     candidates = sorted(terracini_candidates(w, d, r), key=lambda c: -c.weight)
     at = f": d={d}, r={r}: "
     last = _Failure(at + "no specialization candidate")
     for choice in candidates:
-        rec = chandler_inequality(w, d, choice.weight, choice.q, r)
-        if not rec.ok:
+        leaf = _trace_leaf(w, d, r, choice)
+        if not leaf.witnesses["ok"]:
             last = _Failure(f"{at}trace criterion fails for weight {choice.weight}, q={choice.q}")
             continue
         t1, t2, m = _premises(d, r, choice)
@@ -567,147 +622,85 @@ def _build_node(w: Weights, d: int, r: int, seed, trials: int, memo: dict):
         if isinstance(child2, _Failure):
             last = _Failure(at, (2, child2))
             continue
-        line = w.drop(choice.index)
-        line_value = line_interpolation_formula(line, (2,) * choice.q, d)
-        sbar_d = count_monomials(line, d)
+        wit = _step_witnesses(w, d, r, choice, [c1, c2])
+        line_value, sbar_d = wit["line"]["hilbert"], wit["sbar_d"]
         if line_value != min(sbar_d, 2 * choice.q):
             return _Failure(f": line value {line_value} != min({sbar_d}, {2 * choice.q})")
-        leaf = CertificateNode(
-            "chandler-leaf", w, d, r, None, rec.to_json_dict(), []
-        )
-        witnesses = {
-            "s_d": s_d,
-            "s_d_minus_i": count_monomials(w, t1),
-            "s_d_minus_2i": count_monomials(w, t2),
-            "sbar_d": sbar_d,
-            "nq": w.n * choice.q,
-            "line": {
-                "weights": list(line),
-                "doubles": choice.q,
-                "degree": d,
-                "hilbert": line_value,
-            },
-            "premises": [
-                {"degree": t1, "required": m, "certified": c1},
-                {"degree": t2, "required": m, "certified": c2},
-            ],
-        }
-        return CertificateNode(
-            "terracini", w, d, r, choice, witnesses, [leaf, child1, child2]
-        )
+        return CertificateNode("terracini", w, d, r, choice, wit, [leaf, child1, child2])
     return last
 
 
 def check_certificate(cert: CertificateNode, failures: list | None = None) -> bool:
-    """Replay a certificate from monomial counts; no stored number is trusted.
+    """Re-derive every node of a certificate and apply the proof rules.
 
-    Every inequality, window, premise reduction, line value and base rank is
-    recomputed.  Returns True when everything holds; failure descriptions are
-    appended to ``failures`` when a list is supplied.  A node object shared
-    by several parents is replayed once, and its failures are reported under
-    every path that reaches it.
+    The root's weights, d and r state the claim.  Every other stored number
+    is re-derived: each distinct node object once, children first (_dag),
+    from its weights, d, r, choice and premise sizes, by the code that built
+    it, and compared whole with the stored node.  Returns True when
+    everything holds; failure descriptions are appended to ``failures`` when
+    a list is supplied.  A node object shared by several parents has its
+    failures reported under every path that reaches it.
     """
-    sink = failures if failures is not None else []
-    _check(cert, "root", sink, {})
-    return not sink
-
-
-def _check(node: CertificateNode, path: str, sink: list, seen: dict):
-    """Append the failures of ``node`` at ``path``; ``seen`` maps id(node) to them."""
-    suffixes = seen.get(id(node))
-    if suffixes is None:
-        suffixes = seen[id(node)] = []
-        _check_node(node, suffixes, seen)
-    sink.extend(path + suffix for suffix in suffixes)
-
-
-def _check_node(node: CertificateNode, sink: list, seen: dict):
-    """Replay one node; each failure is appended without the node's own path."""
-    w = node.weights
-    s_d = count_monomials(w, node.d)
-    if node.kind == "base":
-        if node.d > 5 and node.r > 0:
-            sink.append(f": base node with d={node.d} > 5")
-            return
-        expected = min(s_d, 3 * node.r)
-        wit = node.witnesses
-        if wit.get("s_d") != s_d or wit.get("expected") != expected:
-            sink.append(": stored counts disagree with recomputation")
-            return
-        cfg = FatPointConfig(
-            w, (2,) * node.r, seed=wit.get("seed", 0), trials=max(1, wit.get("trials", 1))
-        )
-        prof = hilbert_fat_points(cfg, node.d)
-        if prof.actual != expected:
-            sink.append(
-                f": base rank {prof.actual} != expected {expected} at d={node.d}, r={node.r}"
-            )
-        return
-    if node.kind == "chandler-leaf":
-        wit = node.witnesses
-        rec = chandler_inequality(w, wit["d"], wit["i"], wit["q"], wit["r"])
-        if not rec.ok:
-            sink.append(": trace criterion fails on recomputation")
-        elif rec.to_json_dict() != dict(wit):
-            sink.append(": stored trace witnesses disagree with recomputation")
-        return
-    if node.kind != "terracini":
-        sink.append(f": unknown node kind {node.kind!r}")
-        return
-    choice = node.choice
-    if choice is None or not (1 <= choice.q <= node.r):
-        sink.append(": missing or out-of-range choice")
-        return
-    if w[choice.index] != choice.weight:
-        sink.append(": choice weight does not match its index")
-        return
-    n = w.n
-    s_shift = count_monomials(w, node.d - choice.weight)
-    line = w.drop(choice.index)
-    sbar = count_monomials(line, node.d)
-    lo = (n + 1) * node.r - s_shift
-    nq = n * choice.q
-    if choice.direction == "independent":
-        window_ok = lo <= nq <= sbar
-    elif choice.direction == "fill":
-        window_ok = sbar <= nq <= lo
+    w = cert.weights
+    if _certifiable(w):
+        found: dict = {}
+        for node in _dag(cert):
+            found[id(node)] = _check_node(node, w, found)
+        own = found[id(cert)]
     else:
-        sink.append(f": unknown direction {choice.direction!r}")
-        return
-    if not window_ok:
-        sink.append(
-            f": nq={nq} misses the {choice.direction} window at d={node.d}, r={node.r}"
-        )
+        own = [f": certificates are implemented for weights (1, 2, 3), not {list(w)}"]
+    if failures is not None:
+        failures.extend("root" + failure for failure in own)
+    return not own
+
+
+def _check_node(node: CertificateNode, w: Weights, found: dict) -> list[str]:
+    """The failures of one node, each without the node's own path.
+
+    ``w`` is the root's weights; ``found`` maps id(child) to each child's
+    failures, which the node reports under its child slot.
+    """
+    if node.weights != w:
+        return [f": weights {list(node.weights)} are not the root's {list(w)}"]
+    d, r, choice = node.d, node.r, node.choice
+    if node.kind == "base":
+        if d > 5 and r > 0:
+            return [f": base node with d={d} > 5"]
+        seed, trials = node.witnesses.get("seed"), node.witnesses.get("trials")
+        if type(seed) is not str or type(trials) is not int:
+            return [": stored counts disagree with recomputation"]
+        wit = _base_witnesses(w, d, r, seed, max(1, trials))
+        if wit["actual"] != wit["expected"]:
+            return [f": base rank {wit['actual']} != expected {wit['expected']} at d={d}, r={r}"]
+        if node != CertificateNode("base", w, d, r, None, wit, []):
+            return [": stored counts disagree with recomputation"]
+        return []
+    if node.kind == "chandler-leaf":
+        return [": a trace leaf certifies no subproblem on its own"]
+    if node.kind != "terracini":
+        return [f": unknown node kind {node.kind!r}"]
+    if choice not in terracini_candidates(w, d, r):
+        return [f": the choice is no legal specialization at d={d}, r={r}"]
     if len(node.children) != 3:
-        sink.append(f": expected 3 children, found {len(node.children)}")
-        return
-    leaf, child1, child2 = node.children
-    if leaf.kind != "chandler-leaf":
-        sink.append(": first child must be the trace leaf")
-        return
-    if (leaf.witnesses.get("d"), leaf.witnesses.get("i"), leaf.witnesses.get("q"), leaf.witnesses.get("r")) != (
-        node.d,
-        choice.weight,
-        choice.q,
-        node.r,
-    ):
-        sink.append(": trace leaf does not match the choice")
-    _check(leaf, "/children[0]", sink, seen)
-    m = node.r - choice.q
-    for k, (child, shift) in enumerate(((child1, 1), (child2, 2)), start=1):
-        t = node.d - shift * choice.weight
+        return [f": expected 3 children, found {len(node.children)}"]
+    leaf, *premises = node.children
+    sink = []
+    trace = _trace_leaf(w, d, r, choice)
+    if not trace.witnesses["ok"]:
+        sink.append("/children[0]: trace criterion fails on recomputation")
+    elif leaf != trace:
+        sink.append("/children[0]: stored trace leaf disagrees with recomputation")
+    t1, t2, m = _premises(d, r, choice)
+    for k, (child, t) in enumerate(zip(premises, (t1, t2)), start=1):
         if child.d != t:
             sink.append(f"/children[{k}]: degree {child.d} != {t}")
             continue
         if not _valid_reduction(m, child.r, count_monomials(w, t)):
-            sink.append(
-                f"/children[{k}]: size {child.r} does not cover requirement {m}"
-            )
-        _check(child, f"/children[{k}]", sink, seen)
-    wit = node.witnesses
-    line_value = line_interpolation_formula(line, (2,) * choice.q, node.d)
-    stored_line = wit.get("line", {})
-    if stored_line.get("hilbert") != line_value or line_value != min(sbar, 2 * choice.q):
+            sink.append(f"/children[{k}]: size {child.r} does not cover requirement {m}")
+        sink += [f"/children[{k}]{failure}" for failure in found[id(child)]]
+    wit = _step_witnesses(w, d, r, choice, [child.r for child in premises])
+    if wit["line"]["hilbert"] != min(wit["sbar_d"], 2 * choice.q):
         sink.append(": line premise value disagrees with the closed form")
-    if wit.get("s_d") != s_d or wit.get("sbar_d") != sbar:
+    if node.witnesses != wit:
         sink.append(": stored counts disagree with recomputation")
+    return sink

@@ -275,8 +275,8 @@ def test_trace_too_large_to_print_is_usage_error(capsys, fmt):
 
 def test_trace_budget_admits_degree_70_and_rejects_80():
     w = Weights((1, 2, 3))
-    assert _tree_size(build_certificate(w, 70, 148), {}) == 381_781 <= MAX_TRACE_NODES
-    assert _tree_size(build_certificate(w, 80, 191), {}) == 2_886_961 > MAX_TRACE_NODES
+    assert _tree_size(build_certificate(w, 70, 148)) == 381_781 <= MAX_TRACE_NODES
+    assert _tree_size(build_certificate(w, 80, 191)) == 2_886_961 > MAX_TRACE_NODES
 
 
 TEXT_TRACE_KINDS = {"terracini": "terracini", "trace": "chandler-leaf", "base": "base"}
@@ -287,7 +287,7 @@ def test_text_and_csv_traces_print_the_same_tree(capsys, d):
     w = Weights((1, 2, 3))
     s = count_monomials(w, d)
     for r in sorted({s // 3, -(-s // 3)}):
-        size = _tree_size(build_certificate(w, d, r), {})
+        size = _tree_size(build_certificate(w, d, r))
         argv = ["terracini-trace", "--weights", "1,2,3", "--deg", str(d), "--points", str(r)]
         code, out, _ = run(capsys, argv)
         assert code == 0

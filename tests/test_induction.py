@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -220,6 +221,11 @@ def test_certificate_checker_rejects_tampering():
     bad["root"]["children"][1]["d"] = 12
     assert not check_certificate(certificate_from_json(json.dumps(bad)))
 
+    # lo == sbar == nq here: _q_window calls the shared endpoint "independent"
+    bad = json.loads(certificate_to_json(cert))
+    bad["root"]["choice"]["direction"] = "fill"
+    assert not check_certificate(certificate_from_json(json.dumps(bad)))
+
     # the original still verifies
     assert check_certificate(certificate_from_json(json.dumps(payload)))
 
@@ -406,3 +412,119 @@ def test_tampered_shared_node_is_reported_on_every_path():
     failures = []
     assert not check_certificate(cert, failures)
     assert failures == expected
+
+
+def _document(root) -> str:
+    return json.dumps({"schema": "wpinterp/certificate/v1", "root": root})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _document({}),
+        _document({"kind": "terracini", "weights": [1, 2, 3], "d": 14, "r": 8,
+                   "choice": {"index": 2, "q": 4}, "witnesses": {}, "children": []}),
+        "[]",
+    ],
+    ids=["empty-root", "choice-missing-fields", "not-an-object"],
+)
+def test_malformed_certificate_json_is_a_certificate_error(text):
+    with pytest.raises(CertificateError):
+        certificate_from_json(text)
+
+
+def test_root_trace_leaf_without_witnesses_is_rejected():
+    leaf = {"kind": "chandler-leaf", "weights": [1, 2, 3], "d": 14, "r": 8,
+            "choice": None, "witnesses": {}, "children": []}
+    failures = []
+    assert not check_certificate(certificate_from_json(_document(leaf)), failures)
+    assert failures == ["root: a trace leaf certifies no subproblem on its own"]
+
+
+def test_trace_leaf_is_no_premise():
+    # a true trace record at the premise's (d, r) says nothing about its points
+    doc = json.loads(certificate_to_json(build_certificate(W123, 14, 8)))
+    premise = doc["root"]["children"][2]
+    assert (premise["kind"], premise["d"], premise["r"]) == ("terracini", 8, 4)
+    record = chandler_inequality(W123, 8, 1, 1, 4).to_json_dict()
+    assert record["ok"]
+    doc["root"]["children"][2] = dict(premise, kind="chandler-leaf", choice=None,
+                                      witnesses=record, children=[])
+    failures = []
+    assert not check_certificate(certificate_from_json(json.dumps(doc)), failures)
+    assert failures == ["root/children[2]: a trace leaf certifies no subproblem on its own"]
+
+
+def _numbers(obj, path=()):
+    """(path, edited value) for every int of a JSON value bumped by one and every bool flipped."""
+    if isinstance(obj, dict):
+        obj = obj.items()
+    elif isinstance(obj, list):
+        obj = enumerate(obj)
+    else:
+        yield path, (not obj) if isinstance(obj, bool) else obj + 1
+        return
+    for key, value in obj:
+        if isinstance(value, (dict, list, int)):
+            yield from _numbers(value, path + (key,))
+
+
+@pytest.mark.parametrize("d,r", [(14, 8), (9, 0), (4, 1)])
+def test_every_stored_number_is_checked(d, r):
+    text = certificate_to_json(build_certificate(W123, d, r))
+    edits = [
+        (path, value) for path, value in _numbers(json.loads(text)["root"])
+        if path[0] != "weights"  # the root's weights state the claim
+    ]
+    assert len(edits) == {(14, 8): 210, (9, 0): 6, (4, 1): 6}[(d, r)]
+    accepted = []
+    for path, value in edits:
+        doc = json.loads(text)
+        obj = doc["root"]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        if check_certificate(certificate_from_json(json.dumps(doc))):
+            accepted.append(path)
+    assert accepted == []
+
+
+def _paths_to(cert, target):
+    """The checker's path of every tree position of one node object."""
+    return [
+        re.sub(r"/(\d+)", r"/children[\1]", path)
+        for path, _, node in induction._tree_walk(cert) if node is target
+    ]
+
+
+def test_foreign_weights_are_rejected_on_every_path():
+    w112 = Weights((1, 1, 2))
+    foreign = ": weights [1, 1, 2] are not the root's [1, 2, 3]"
+
+    def relabel_base(node):
+        node["weights"] = list(w112)
+        node["witnesses"]["s_d"] = count_monomials(w112, node["d"])
+        node["witnesses"]["expected"] = min(node["witnesses"]["s_d"], 3 * node["r"])
+
+    cert = build_certificate(W123, 14, 8)
+    base = cert.children[2].children[1]
+    assert (base.kind, base.d, base.r) == ("base", 5, 1)
+    paths = _paths_to(cert, base)
+    assert paths == ["root/children[1]/children[1]/children[1]", "root/children[2]/children[1]"]
+    assert _tampered_failures(cert, _key("base", 5, 1), relabel_base) == [
+        path + foreign for path in paths
+    ]
+    # relabel a shared step's node object in place: every path reports it
+    cert = build_certificate(W123, 20, 14)
+    step = cert.children[2].children[1].children[1]
+    assert (step.kind, step.d, step.r) == ("terracini", 8, 3)
+    paths = _paths_to(cert, step)
+    assert len(paths) > 1
+    step.weights = w112
+    failures = []
+    assert not check_certificate(cert, failures)
+    assert failures == [path + foreign for path in paths]
+    # a lone base node on other weights is not a certificate this checker reads
+    lone = build_certificate(W123, 4, 1)
+    lone.weights = w112
+    assert not check_certificate(lone)
