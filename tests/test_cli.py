@@ -457,6 +457,8 @@ GOLDEN_COMMANDS = {
                  "--seed", "1"],
     "ah-check-exact": ["ah-check", "--weights", "1,2,3", "--deg", "6..8", "--points", "2",
                        "--exact"],
+    "ah-check-exact-deficient": ["ah-check", "--weights", "1,1,1", "--deg", "2..4",
+                                 "--points", "5", "--exact"],
     "ah-check-prime": ["ah-check", "--weights", "1,2,3", "--deg", "6..8", "--points", "3",
                        "--prime", "1000003"],
     "terracini-trace": ["terracini-trace", "--weights", "1,2,3", "--deg", "14",
