@@ -17,7 +17,9 @@ Generic behaviour is probed by sampling: coordinates are drawn from a large
 random prime field (a fresh 50-62 bit prime per trial, always larger than
 the degree so the derivative model stays faithful), and ranks are
 maximized over a few trials.  The exact field samples integer points and
-takes the rank over Q of their matrix (``linalg.group_ranks_exact``).  All
+takes the rank over Q of their matrix (``linalg.group_ranks_exact``: the
+same mod-p elimination over fixed primes, with every row dependency
+checked exactly over the integers, so a deficient rank is proved).  All
 randomness is derived from (seed, degree, trial), so results are
 reproducible across runs and processes.
 
@@ -37,6 +39,7 @@ from operator import mul
 from .grading import Weights, count_monomials, enumerate_monomials
 from .ideals import WeightedPoint
 from .linalg import (
+    _MR_EXACT_BELOW,
     group_ranks_exact,
     group_ranks_mod_p,
     is_probable_prime,
@@ -111,8 +114,15 @@ def _sample_coords(weights: Weights, count: int, rng: random.Random, high: int):
 
 
 def _fixed_prime(field, degree: int) -> int:
-    """A fixed prime field, checked to be prime and to exceed the degree."""
+    """A fixed prime field, checked to be prime and to exceed the degree.
+
+    Primality is only certain below ``_MR_EXACT_BELOW``, so no larger field is taken.
+    """
     prime = int(field)
+    if prime >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"field must be below {_MR_EXACT_BELOW}, where primality is certain, got {prime}"
+        )
     if not is_probable_prime(prime):
         raise ValueError(f"field must be prime, got {prime}")
     if prime <= degree:

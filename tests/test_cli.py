@@ -25,6 +25,7 @@ from wpinterp.cli import (
     main,
 )
 from wpinterp.induction import _tree_size
+from wpinterp.linalg import _MR_EXACT_BELOW, _prime_below
 
 WARN_23 = (
     "warning: weights (2, 3) are not well formed; "
@@ -400,6 +401,19 @@ def test_small_prime_is_reported(capsys):
     )
     assert code == 2
     assert "error: prime 7 does not exceed the degree 10" in err
+
+
+def test_prime_past_the_primality_bound_is_usage_error(capsys):
+    # psi_12 passes Miller-Rabin with every base the test uses.
+    assert _MR_EXACT_BELOW == 399165290221 * 798330580441
+    argv = ["ah-check", "--weights", "1,2,3", "--deg", "4", "--points", "2", "--prime"]
+    code, out, err = run(capsys, argv + [str(_MR_EXACT_BELOW)])
+    assert code == 2
+    assert out == ""
+    assert f"field must be below {_MR_EXACT_BELOW}" in err
+    code, out, _ = run(capsys, argv + [str(_prime_below(_MR_EXACT_BELOW))])
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1,2,3", "2", "4", "4", "4", "4", "0", "true", "1"]
 
 
 def test_zero_point_is_reported(capsys):

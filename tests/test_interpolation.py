@@ -1,6 +1,7 @@
 """Evaluation matrices and generic ranks, checked against symbolic differentiation."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,17 @@ def test_exact_group_ranks_are_prefix_ranks():
 def test_exact_field_on_larger_cases(weights, d, r, actual, deficiency):
     prof = hilbert_fat_points(FatPointConfig(weights, (2,) * r, field="exact", seed=1), d)
     assert (prof.actual, prof.deficiency) == (actual, deficiency)
+
+
+def test_exact_deficient_rank_needs_few_primes():
+    # A 110 x 190 matrix of rank 109 with 180-bit row dependencies.  Stopping
+    # at the Hadamard bound, about 2**19690, took one elimination per 61 bits
+    # of it; a checked dependency needs a few primes.
+    start = time.perf_counter()
+    cfg = FatPointConfig(Weights((1, 1, 1)), (10, 10), field="exact", seed=1)
+    prof = hilbert_fat_points(cfg, 18)
+    assert (prof.actual, prof.deficiency) == (109, 1)
+    assert time.perf_counter() - start < 1.6
 
 
 def test_two_fixed_primes_agree():

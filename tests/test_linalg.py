@@ -92,6 +92,7 @@ def test_det_singular_and_edge_cases():
     assert det_exact([]) == 1
     assert det_exact([[Fraction(7, 2)]]) == Fraction(7, 2)
     assert det_exact([[1, 2], [2, 4]]) == 0
+    assert det_exact([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
     rows = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]  # row3 = row1 + row2
     assert det_exact(rows) == 0
     with pytest.raises(ValueError):
@@ -293,6 +294,7 @@ def test_nullspace_exact():
                 assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
         if basis:
             assert rank_exact(basis) == len(basis)
+    assert nullspace_exact([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_is_probable_prime_against_sieve():
@@ -391,6 +393,16 @@ def test_exact_rank_needs_more_than_one_prime():
         s = math.isqrt(p)
         rows = [[s, -1, 0], [p - s * s, s, 0]] + rest
         assert group_ranks_exact(rows, [2] + [1] * len(rest)) == [2] * (1 + len(rest))
-    # A rank-1 block of 2**200 entries: only the Hadamard bound can stop it.
+    # A rank-1 block of 2**200 entries: its row dependency is recovered and
+    # checked exactly over the integers.
     big = [(1 << 200) + 7, (1 << 201) - 3]
     assert group_ranks_exact([big, [2 * x for x in big], [0, 1]], [2, 1]) == [1, 2]
+
+
+def test_exact_rank_keeps_the_prime_with_the_latest_dependent_rows():
+    # Mod P, row 1 is dependent and row 2 is not; over Q it is the other way
+    # round, with the same final rank.  A rule that keeps the prime with the
+    # most pivots would keep P's false dependency and never finish.
+    p = _prime_below(1 << 61)
+    assert group_ranks_exact([[1, 0], [1, p], [0, 1]], [1, 1, 1]) == [1, 2, 2]
+    assert nullspace_exact([[1, 1, 0], [0, p, 1]], 3) == [[Fraction(1, p), Fraction(-1, p), 1]]
