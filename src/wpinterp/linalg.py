@@ -145,7 +145,7 @@ def _lift_dependency(rows, residues, m: int) -> list[int]:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
         if abs(t1) > bound:
-            raise ValueError(f"no small fraction is {a * den} mod {m}")
+            raise ValueError("an entry is no small fraction mod m")
         if abs(t1) > 1:
             den *= abs(t1)
             ints = [x * abs(t1) for x in ints]

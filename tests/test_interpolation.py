@@ -420,9 +420,9 @@ def test_exact_field_on_larger_cases(weights, d, r, actual, deficiency):
 
 
 def test_exact_deficient_rank_needs_few_primes():
-    # A 110 x 190 matrix of rank 109 with 180-bit row dependencies.  Stopping
-    # at the Hadamard bound, about 2**19690, took one elimination per 61 bits
-    # of it; a checked dependency needs a few primes.
+    # A 110 x 190 matrix of rank 109: its row dependency has 180-bit entries,
+    # so a few primes prove the rank, while the Hadamard bound of its minors
+    # is about 2**19690, one 61-bit prime per 61 bits.
     start = time.perf_counter()
     cfg = FatPointConfig(Weights((1, 1, 1)), (10, 10), field="exact", seed=1)
     prof = hilbert_fat_points(cfg, 18)
