@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .grading import Weights, count_monomials
 
@@ -186,7 +185,18 @@ class TriangleDecomposition:
 
 
 def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
-    """Count every region of the decomposition by direct lattice enumeration."""
+    """Count every region of the decomposition exactly, one column x at a time.
+
+    In column x every region is an interval of integer y, cut to T's
+    column [0, top] as a point set would be: T1 is [0, (half - bx)/c], T2
+    is T1's column x - x0, T3 is T1's column shifted up by y0, and T4's
+    interior is ((half - bx)/c, y0) for x < x0.  That last interval is the
+    proof's "x > (half - cy)/b, q < y < y0", since x > (half - cy)/b says
+    y > (half - bx)/c, which for x < x0 implies y > q, the height of T1's
+    hypotenuse over x = x0.  Columns outside [0, d/b] hold no point of any
+    region.  Intersections are intervals, so every count and both region
+    tests are sums and comparisons of interval ends.
+    """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
     if d < 2 * c:
@@ -195,35 +205,36 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     x0 = d // (2 * b)
     y0 = d // (2 * c)
 
-    def in_t1(x, y):
-        return x >= 0 and y >= 0 and b * x + c * y <= half
-
-    def in_t2(x, y):
-        return in_t1(x - x0, y)
-
-    def in_t3(x, y):
-        return in_t1(x, y - y0)
-
-    pts = [(x, y) for x in range(d // b + 1) for y in range((d - b * x) // c + 1)]
-    t_set = set(pts)
-    t1_set = {p for p in pts if in_t1(*p)}
-    t2_set = {p for p in pts if in_t2(*p)}
-    t3_set = {p for p in pts if in_t3(*p)}
-    i12 = t1_set & t2_set
-    i23 = t2_set & t3_set
-    i13 = t1_set & t3_set
-
-    # interior of the middle region: q < y < y0 and (half - y*c)/b < x < x0,
-    # with q the height of T1's hypotenuse over x = x0
-    q = Fraction(half - b * x0, c)
-    t4 = set()
-    for y in range(math.floor(q) + 1, y0):
-        if y <= q:
-            continue
-        lo = Fraction(half - y * c, b)
-        for x in range(math.floor(lo) + 1, x0):
-            if x > lo:
-                t4.add((x, y))
+    total = t1 = t2 = t3 = i12 = i23 = i13 = t4_interior = 0
+    disjoint_middle = covered = True
+    for x in range(d // b + 1):
+        # T is [0, top]; T1 is [0, h1], T2 is [0, h2] and T3 is [y0, h3], each
+        # cut to top.  Conditional expressions, not min and max calls: this
+        # loop is most of verify-suite's triangle audit.
+        top = (d - b * x) // c
+        rise = (half - b * x) // c
+        h1 = rise if rise < top else top
+        h2 = (half - b * (x - x0)) // c if x >= x0 else -1
+        h2 = h2 if h2 < top else top
+        h3 = y0 + rise if y0 + rise < top else top
+        h12 = h1 if h1 < h2 else h2
+        h23 = h2 if h2 < h3 else h3
+        h13 = h1 if h1 < h3 else h3
+        total += top + 1
+        t1 += h1 + 1 if h1 >= 0 else 0
+        t2 += h2 + 1 if h2 >= 0 else 0
+        t3 += h3 - y0 + 1 if h3 >= y0 else 0
+        i12 += h12 + 1 if h12 >= 0 else 0
+        i23 += h23 - y0 + 1 if h23 >= y0 else 0
+        i13 += h13 - y0 + 1 if h13 >= y0 else 0
+        lo4, hi4 = rise + 1, y0 - 1  # T4's interior, for x < x0
+        if x < x0 and lo4 <= hi4:
+            t4_interior += hi4 - lo4 + 1
+            # T1 and T2 both start at 0, so their union here is [0, max(h1, h2)]
+            disjoint_middle &= (
+                min(hi4, max(h1, h2)) < max(lo4, 0) and min(hi4, h3) < max(lo4, y0)
+            )
+            covered &= 0 <= lo4 and hi4 <= top
 
     regime_10c = d >= 10 * c
     regime_6c = d >= 6 * c and (2 * c) // b >= 5
@@ -234,23 +245,22 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     else:
         t4_bound = None
 
-    union = t1_set | t2_set | t3_set
     return TriangleDecomposition(
         b=b,
         c=c,
         d=d,
-        total=len(t_set),
-        t1=len(t1_set),
-        t2=len(t2_set),
-        t3=len(t3_set),
-        i12=len(i12),
-        i23=len(i23),
-        i13=len(i13),
+        total=total,
+        t1=t1,
+        t2=t2,
+        t3=t3,
+        i12=i12,
+        i23=i23,
+        i13=i13,
         i13_cap=c // b + 1,
-        t4_interior=len(t4),
+        t4_interior=t4_interior,
         t4_bound=t4_bound,
-        disjoint_middle=not (t4 & union),
-        covered=(union | t4) <= t_set,
+        disjoint_middle=disjoint_middle,
+        covered=covered,
     )
 
 

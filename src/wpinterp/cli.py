@@ -315,6 +315,10 @@ def cmd_bound_check(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
+    if args.max_deg < 6:
+        raise argparse.ArgumentTypeError("--max-deg must be at least 6, where the scans start")
+    if args.max_bc < 1:
+        raise argparse.ArgumentTypeError("--max-bc must be at least 1")
     meta = _meta(args, "verify-suite", None)
     meta["max_deg"] = str(args.max_deg)
     meta["max_bc"] = str(args.max_bc)

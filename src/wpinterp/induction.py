@@ -24,11 +24,13 @@ the root's weights, d and r state the claim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
 from .interpolation import FatPointConfig, hilbert_fat_points, line_interpolation_formula
+from .quasipoly import class_values, last_root, refine_period
 
 
 class CertificateError(RuntimeError):
@@ -62,6 +64,21 @@ def _q_window(n: int, r: int, lo: int, sbar: int) -> tuple[range, str]:
     low, high = (lo, sbar) if lo <= sbar else (sbar, lo)
     qs = range(max(1, -(-low // n)), min(r, high // n) + 1)
     return qs, "independent" if lo <= sbar else "fill"
+
+
+def _window_margins(n: int, r: int, lo: int, sbar: int) -> list[int]:
+    """Integers whose signs decide _q_window(n, r, lo, sbar).
+
+    lo - sbar picks the order of the ends; the window is empty iff an upper
+    bound (r or high // n) is below a lower bound (1 or ceil(low / n)).
+    Both orders are listed, so the list's shape does not depend on values.
+    """
+    return [lo - sbar] + [
+        top - bottom
+        for low, high in ((lo, sbar), (sbar, lo))
+        for top in (r, high // n)
+        for bottom in (1, -(-low // n))
+    ]
 
 
 def terracini_candidates(weights, d: int, r: int) -> list[TerraciniChoice]:
@@ -158,9 +175,12 @@ def chandler_inequality(weights, d: int, i: int, q: int, r: int) -> ChandlerReco
     )
 
 
+_PLANE_123 = Weights((1, 2, 3))
+
+
 def _plane_123_forms():
     """Closed forms of s_d for P(1,2,3) and its hyperplanes P(2,3), P(1,3), P(1,2)."""
-    return tuple(closed_form(Weights(w)) for w in ((1, 2, 3), (2, 3), (1, 3), (1, 2)))
+    return tuple(closed_form(Weights(w)) for w in (_PLANE_123, (2, 3), (1, 3), (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -175,25 +195,109 @@ class ScanReport:
         return not self.failures
 
 
+def _class_ranges(d_lo: int, d_hi: int, period: int):
+    """Each class c in [6, 6 + period), with the k of its degrees period k + c in [d_lo, d_hi]."""
+    for c in range(6, 6 + period):
+        yield c, range(max(0, -((c - d_lo) // period)), (d_hi - c) // period + 1)
+
+
+def _scan_by_class(d_lo: int, d_hi: int, period: int, margins, failures_at) -> tuple:
+    """The failures_at(d) of every d in [d_lo, d_hi], in order of d, one class at a time.
+
+    failures_at(d) must depend only on the signs of the entries of
+    margins(d), each a polynomial of degree <= 2 in k on every class
+    d = period k + c.  Past the largest root of all of them the signs are
+    fixed, so one probe there gives the verdict of the class's tail.  The
+    degrees up to that root are scanned, and a failing tail is listed
+    degree by degree up to d_hi.
+    """
+    found = []
+    for c, ks in _class_ranges(d_lo, d_hi, period):
+        if not ks:
+            continue
+        roots = [last_root(values) for values in class_values(margins, period, c)]
+        tail = max((k for k in roots if k is not None), default=-1) + 1
+        if not failures_at(c + period * tail):
+            ks = range(ks.start, min(ks.stop, tail))
+        for k in ks:
+            found.extend(failures_at(c + period * k))
+    return tuple(sorted(found, key=lambda failure: failure[0]))
+
+
+def _teranum_windows(forms, d: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(r, [(lo, sbar) of each hyperplane]) for r = floor and ceil of s_d/3, in the scan's order."""
+    s123, *planes = forms
+    s = s123(d)
+    return [
+        (r, [(3 * r - s123(d - a), plane(d)) for a, plane in zip(_PLANE_123, planes)])
+        for r in {s // 3, -(-s // 3)}
+    ]
+
+
 def teranum_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
     """Every balanced point count near s_d/3 admits a specialization, d >= 6.
 
     For r = floor(s_d/3) and ceil(s_d/3), some hyperplane must have a
-    nonempty window (_q_window).  Closed forms keep the scan O(1) per degree.
+    nonempty window (_q_window); each (d, r) without one is a failure.
+
+    Decided per residue class, at a cost that does not grow with d_hi.  s_d
+    and the hyperplane counts are quasi-polynomials of degree <= 2 whose
+    period divides lcm(1, 2, 3) (quasipoly), and so are their shifts.  The
+    period is refined until s_d mod 3 is constant on every class, which
+    makes r a class polynomial, and then until every lo and sbar has a
+    constant parity, which makes the halvings in _q_window class
+    polynomials; each refinement is proved by the binomial-coefficient
+    test.  The window's verdict is a function of the signs of its
+    _window_margins, so on a class d = P k + c it is the same for every k
+    past their largest root.  The degrees up to that root are checked one
+    by one, and one degree past it decides the rest of the class: if it
+    fails, every degree of the class up to d_hi is listed.
     """
     if d_lo < 6:
         raise ValueError("the statement starts at d = 6")
-    s123, s23, s13, s12 = _plane_123_forms()
-    failures = []
-    checked = 0
-    for d in range(d_lo, d_hi + 1):
-        s = s123(d)
-        shifts = ((s123(d - 1), s23(d)), (s123(d - 2), s13(d)), (s123(d - 3), s12(d)))
-        for r in {s // 3, -(-s // 3)}:
-            checked += 1
-            if not any(_q_window(2, r, 3 * r - s_shift, sbar)[0] for s_shift, sbar in shifts):
-                failures.append((d, r))
-    return ScanReport(d_lo, d_hi, checked, tuple(failures))
+    forms = _plane_123_forms()
+
+    def sorted_windows(d):
+        return sorted(_teranum_windows(forms, d))
+
+    def halved(d):
+        return tuple(x for _, windows in sorted_windows(d) for pair in windows for x in pair)
+
+    def margins(d):
+        return tuple(
+            m
+            for r, windows in sorted_windows(d)
+            for lo, sbar in windows
+            for m in _window_margins(2, r, lo, sbar)
+        )
+
+    def failures_at(d):
+        return [
+            (d, r)
+            for r, windows in _teranum_windows(forms, d)
+            if not any(_q_window(2, r, lo, sbar)[0] for lo, sbar in windows)
+        ]
+
+    period = refine_period(lambda d: (forms[0](d),), math.lcm(*_PLANE_123), 3, 6)
+    period = refine_period(halved, period, 2, 6)
+    checked = sum(
+        len(ks) * len(_teranum_windows(forms, c)) for c, ks in _class_ranges(d_lo, d_hi, period)
+    )
+    return ScanReport(d_lo, d_hi, checked, _scan_by_class(d_lo, d_hi, period, margins, failures_at))
+
+
+_NUMERIC_FACTS = ("s12 < 2 s(d-3)", "s23 halving", "s13 halving", "s12 halving")
+
+
+def _numeric_slacks(forms, d: int) -> tuple[int, int, int, int]:
+    """Slack of each of _NUMERIC_FACTS at d: the fact holds iff its slack is >= 0."""
+    s123, s23, s13, s12 = forms
+    return (
+        2 * s123(d - 3) - 1 - s12(d),
+        2 * s23(d - 1) - s23(d),
+        2 * s13(d - 2) - s13(d),
+        2 * s12(d - 3) - s12(d),
+    )
 
 
 def numeric_facts_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
@@ -201,24 +305,28 @@ def numeric_facts_verify(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
 
     s'''_d < 2 s_{d-3};  s'_d <= 2 s'_{d-1};  s''_d <= 2 s''_{d-2};
     s'''_d <= 2 s'''_{d-3}, where s', s'', s''' count monomials on the
-    hyperplanes of weights 1, 2, 3 respectively.
+    hyperplanes of weights 1, 2, 3 respectively.  A failure is (d, name).
+
+    Decided per residue class, at a cost that does not grow with d_hi.
+    Every count here is a quasi-polynomial of degree <= 2 whose period
+    divides lcm(1, 2, 3) (quasipoly), so on a class d = P k + c the slack
+    of each inequality is a polynomial in k and keeps its sign past its
+    largest root.  The degrees up to the largest root of the four are
+    checked one by one, and one degree past it decides the rest of the
+    class: if it fails, every degree of the class up to d_hi is listed.
     """
     if d_lo < 6:
         raise ValueError("the statement starts at d = 6")
-    s123, s23, s13, s12 = _plane_123_forms()
-    failures = []
-    checked = 0
-    for d in range(d_lo, d_hi + 1):
-        checked += 1
-        if not s12(d) < 2 * s123(d - 3):
-            failures.append((d, "s12 < 2 s(d-3)"))
-        if not s23(d) <= 2 * s23(d - 1):
-            failures.append((d, "s23 halving"))
-        if not s13(d) <= 2 * s13(d - 2):
-            failures.append((d, "s13 halving"))
-        if not s12(d) <= 2 * s12(d - 3):
-            failures.append((d, "s12 halving"))
-    return ScanReport(d_lo, d_hi, checked, tuple(failures))
+    forms = _plane_123_forms()
+
+    def failures_at(d):
+        slacks = _numeric_slacks(forms, d)
+        return [(d, name) for name, slack in zip(_NUMERIC_FACTS, slacks) if slack < 0]
+
+    failures = _scan_by_class(
+        d_lo, d_hi, math.lcm(*_PLANE_123), lambda d: _numeric_slacks(forms, d), failures_at
+    )
+    return ScanReport(d_lo, d_hi, max(0, d_hi - d_lo + 1), failures)
 
 
 @dataclass

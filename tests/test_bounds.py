@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
 from wpinterp import (
     FatPointConfig,
+    TriangleDecomposition,
     Weights,
     classify_plane_123_uniqueness,
     count_monomials,
@@ -128,6 +130,88 @@ def test_triangle_holds_needs_every_clause(change):
     assert dec.holds
     assert (dec.i13_cap, dec.t4_bound) == (3, 7)
     assert not dataclasses.replace(dec, **change).holds
+
+
+def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
+    """The former point-set body of triangle_lattice_check, kept verbatim as an oracle."""
+    if not (1 <= b <= c):
+        raise ValueError("need 1 <= b <= c")
+    if d < 2 * c:
+        raise ValueError("the decomposition needs d >= 2c")
+    half = d // 2
+    x0 = d // (2 * b)
+    y0 = d // (2 * c)
+
+    def in_t1(x, y):
+        return x >= 0 and y >= 0 and b * x + c * y <= half
+
+    def in_t2(x, y):
+        return in_t1(x - x0, y)
+
+    def in_t3(x, y):
+        return in_t1(x, y - y0)
+
+    pts = [(x, y) for x in range(d // b + 1) for y in range((d - b * x) // c + 1)]
+    t_set = set(pts)
+    t1_set = {p for p in pts if in_t1(*p)}
+    t2_set = {p for p in pts if in_t2(*p)}
+    t3_set = {p for p in pts if in_t3(*p)}
+    i12 = t1_set & t2_set
+    i23 = t2_set & t3_set
+    i13 = t1_set & t3_set
+
+    # interior of the middle region: q < y < y0 and (half - y*c)/b < x < x0,
+    # with q the height of T1's hypotenuse over x = x0
+    q = Fraction(half - b * x0, c)
+    t4 = set()
+    for y in range(math.floor(q) + 1, y0):
+        if y <= q:
+            continue
+        lo = Fraction(half - y * c, b)
+        for x in range(math.floor(lo) + 1, x0):
+            if x > lo:
+                t4.add((x, y))
+
+    regime_10c = d >= 10 * c
+    regime_6c = d >= 6 * c and (2 * c) // b >= 5
+    if regime_10c:
+        t4_bound = c // b + 5
+    elif regime_6c:
+        t4_bound = (c // b - 1) + ((2 * c) // b - 1)
+    else:
+        t4_bound = None
+
+    union = t1_set | t2_set | t3_set
+    return TriangleDecomposition(
+        b=b,
+        c=c,
+        d=d,
+        total=len(t_set),
+        t1=len(t1_set),
+        t2=len(t2_set),
+        t3=len(t3_set),
+        i12=len(i12),
+        i23=len(i23),
+        i13=len(i13),
+        i13_cap=c // b + 1,
+        t4_interior=len(t4),
+        t4_bound=t4_bound,
+        disjoint_middle=not (t4 & union),
+        covered=(union | t4) <= t_set,
+    )
+
+
+def test_triangle_columns_match_the_point_sets():
+    grid = [(b, c, d) for b in range(1, 9) for c in range(b, 9) for d in range(2 * c, 12 * c + 1)]
+    assert len(grid) == 2076  # verify-suite's default triangle grid
+    grid += [
+        (b, c, d)
+        for b in range(1, 13)
+        for c in range(b, 13)
+        for d in (2 * c, 2 * c + 5, 6 * c, 10 * c, 13 * c, 14 * c)  # criterion 10's degrees
+    ]
+    for b, c, d in grid:
+        assert triangle_lattice_check(b, c, d) == reference_triangle_lattice_check(b, c, d)
 
 
 def test_triangle_needs_room():

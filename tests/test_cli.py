@@ -440,6 +440,20 @@ def test_verify_suite_small(capsys):
     assert all(line.startswith("PASS ") for line in body)
 
 
+@pytest.mark.parametrize("limits,message", [
+    (["--max-deg", "5", "--max-bc", "0"], "--max-deg must be at least 6"),
+    (["--max-deg", "-3", "--max-bc", "-1"], "--max-deg must be at least 6"),
+    (["--max-deg", "6", "--max-bc", "0"], "--max-bc must be at least 1"),
+])
+def test_verify_suite_degenerate_limits_are_usage_errors(capsys, limits, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-suite", *limits])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_verify_suite_triangle_audit_names_its_first_failure(capsys, monkeypatch):
     real = cli.triangle_lattice_check
 

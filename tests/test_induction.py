@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from wpinterp import (
 )
 from wpinterp import induction
 from wpinterp.cli import main
-from wpinterp.induction import TerraciniChoice, json_document
+from wpinterp.induction import ScanReport, TerraciniChoice, _q_window, json_document
 
 W123 = Weights((1, 2, 3))
 
@@ -259,6 +260,151 @@ def test_numeric_facts_scan():
     assert report.ok
     with pytest.raises(ValueError):
         numeric_facts_verify(2, 100)
+
+
+def reference_teranum(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
+    """The former degree-by-degree loop of teranum_verify, kept verbatim as an oracle."""
+    if d_lo < 6:
+        raise ValueError("the statement starts at d = 6")
+    s123, s23, s13, s12 = induction._plane_123_forms()
+    failures = []
+    checked = 0
+    for d in range(d_lo, d_hi + 1):
+        s = s123(d)
+        shifts = ((s123(d - 1), s23(d)), (s123(d - 2), s13(d)), (s123(d - 3), s12(d)))
+        for r in {s // 3, -(-s // 3)}:
+            checked += 1
+            if not any(_q_window(2, r, 3 * r - s_shift, sbar)[0] for s_shift, sbar in shifts):
+                failures.append((d, r))
+    return ScanReport(d_lo, d_hi, checked, tuple(failures))
+
+
+def reference_numeric_facts(d_lo: int = 6, d_hi: int = 100000) -> ScanReport:
+    """The former degree-by-degree loop of numeric_facts_verify, kept verbatim as an oracle."""
+    if d_lo < 6:
+        raise ValueError("the statement starts at d = 6")
+    s123, s23, s13, s12 = induction._plane_123_forms()
+    failures = []
+    checked = 0
+    for d in range(d_lo, d_hi + 1):
+        checked += 1
+        if not s12(d) < 2 * s123(d - 3):
+            failures.append((d, "s12 < 2 s(d-3)"))
+        if not s23(d) <= 2 * s23(d - 1):
+            failures.append((d, "s23 halving"))
+        if not s13(d) <= 2 * s13(d - 2):
+            failures.append((d, "s13 halving"))
+        if not s12(d) <= 2 * s12(d - 3):
+            failures.append((d, "s12 halving"))
+    return ScanReport(d_lo, d_hi, checked, tuple(failures))
+
+
+SCANS = [(teranum_verify, reference_teranum), (numeric_facts_verify, reference_numeric_facts)]
+
+
+@pytest.mark.parametrize("scan,reference", SCANS, ids=["teranum", "numeric-facts"])
+def test_scans_match_the_reference_loops(scan, reference):
+    assert scan(6, 20000) == reference(6, 20000)
+    for d_lo, d_hi in ((10, 9), (500, 7), (6, 5), (6, -3)):
+        assert scan(d_lo, d_hi) == reference(d_lo, d_hi) == ScanReport(d_lo, d_hi, 0, ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d_lo=st.one_of(st.integers(6, 70), st.integers(6, 20000)),
+    length=st.one_of(st.integers(-2, 70), st.integers(0, 400)),
+)
+@example(d_lo=6, length=0)
+@example(d_lo=63, length=1)  # inside the degree-by-degree part of teranum's classes
+@example(d_lo=64, length=36)  # one whole period from the last degree scanned one by one
+def test_scans_match_the_reference_loops_on_sub_ranges(d_lo, length):
+    for scan, reference in SCANS:
+        assert scan(d_lo, d_lo + length) == reference(d_lo, d_lo + length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    r=st.integers(-3, 30),
+    lo=st.integers(-40, 40),
+    sbar=st.integers(-40, 40),
+)
+def test_window_margins_decide_the_window(n, r, lo, sbar):
+    order, *bounds = induction._window_margins(n, r, lo, sbar)
+    chosen = bounds[:4] if order <= 0 else bounds[4:]
+    assert bool(_q_window(n, r, lo, sbar)[0]) == all(m >= 0 for m in chosen)
+
+
+def mutated_forms(index, cls, change):
+    """_plane_123_forms with form `index` replaced by change(s_d) on every d = cls mod 6.
+
+    The mutated form is again a quasi-polynomial of period 6, the kind of
+    input the per-class decision is proved for.
+    """
+    real = induction._plane_123_forms
+
+    def forms():
+        out = list(real())
+        form = out[index]
+        out[index] = lambda d: change(form(d)) if d % 6 == cls else form(d)
+        return tuple(out)
+
+    return forms
+
+
+@pytest.mark.parametrize(
+    "index,cls,change,failing",
+    [
+        # (2,3) off by one: lo - sbar becomes 3r - s_d -/+ 1, so each window
+        # spans two integers, holds an even one, and nothing fails
+        (1, 1, lambda s: s + 1, {}),
+        (1, 4, lambda s: s - 1, {}),
+        # the plane's count read as 0 leaves r = 0, so every degree of the class
+        # fails, and s12 < 2 s(d-3) fails three degrees later
+        (0, 5, lambda s: 0, {teranum_verify: 5, numeric_facts_verify: 2}),
+        # (2,3) read three times too large breaks its halving on the class
+        (1, 1, lambda s: 3 * s, {numeric_facts_verify: 1}),
+    ],
+)
+def test_a_failing_class_is_listed_to_the_end(monkeypatch, index, cls, change, failing):
+    monkeypatch.setattr(induction, "_plane_123_forms", mutated_forms(index, cls, change))
+    for scan, reference in SCANS:
+        report = scan(6, 20000)
+        assert report == reference(6, 20000)
+        degrees = {d for d, _ in report.failures}
+        if scan in failing:
+            tail = {d for d in range(1001, 20001) if d % 6 == failing[scan]}
+            assert {d for d in degrees if d > 1000} == tail
+        else:
+            assert not degrees
+
+
+def teranum_case_count(d_hi: int) -> int:
+    """teranum_verify's (d, r) cases on [6, d_hi]: two where 3 does not divide s_d, else one.
+
+    s_d mod 3 has period 18 from d = 0 on (the class polynomials' test).
+    """
+    unbalanced = [c for c in range(6, 24) if count_monomials(W123, c) % 3]
+    return max(0, d_hi - 5) + sum(max(0, (d_hi - c) // 18 + 1) for c in unbalanced)
+
+
+def test_teranum_case_count_formula():
+    checked = 0
+    for d in range(6, 3000):
+        checked += reference_teranum(d, d).checked
+        assert teranum_case_count(d) == checked
+    assert teranum_case_count(100000) == teranum_verify().checked == 161104
+
+
+def test_verify_suite_decides_a_billion_degrees(capsys):
+    start = time.perf_counter()
+    code = main(["verify-suite", "--max-deg", "1000000000", "--max-bc", "4"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert elapsed < 2
+    assert f"PASS teranum: {teranum_case_count(10**9)} cases on d in [6, 1000000000]" in lines
+    assert "PASS numeric-facts: d in [6, 1000000000]" in lines
 
 
 def _nodes(obj):
