@@ -13,15 +13,23 @@ c_j^(e-k), for every order k < m and exponent e.  The basis exponents are
 transposed into one column per variable once per matrix, so an operator's
 row is a product of table lookups over those columns and one reduction.
 
-Generic behaviour is probed by sampling: coordinates are drawn from a large
-random prime field (a fresh 50-62 bit prime per trial, always larger than
-the degree so the derivative model stays faithful), and ranks are
-maximized over a few trials.  The exact field samples integer points and
-takes the rank over Q of their matrix (``linalg.group_ranks_exact``: the
-same mod-p elimination over fixed primes, with every row dependency
-checked exactly over the integers, so a deficient rank is proved).  All
-randomness is derived from (seed, degree, trial), so results are
-reproducible across runs and processes.
+Generic behaviour is probed by sampling: coordinates are drawn from a
+random prime field (a fresh prime in [2**24, 2**25) per trial, always larger
+than the degree so the derivative model stays faithful), and ranks are
+maximized over a few trials.  A rank that reaches its expected value is
+proved at any such prime, since a minor nonzero mod p is nonzero over Z;
+the prime's size only sets how often a trial under-reports and another
+runs.  By the Schwartz-Zippel lemma (Schwartz, JACM 1980) an m x m minor of
+degree-d rows, a nonzero polynomial of degree at most m*d in the
+coordinates, vanishes with probability at most m*d/p: about 5.5e-4 for a
+201 x 200 matrix at d = 46.  At these primes a reduced matrix entry fits
+one 64-bit slot of ``linalg._echelon`` for every m <= 16382.
+
+The exact field samples integer points and takes the rank over Q of their
+matrix (``linalg.group_ranks_exact``: the same mod-p elimination over fixed
+primes, with every row dependency checked exactly over the integers, so a
+deficient rank is proved).  All randomness is derived from (seed,
+degree, trial), so results are reproducible across runs and processes.
 
 One trial loop serves every rank profile: ``hilbert_fat_points`` (the
 whole configuration) and ``ah_profile_scan`` (every leading part of it).
@@ -46,8 +54,8 @@ from .linalg import (
     random_prime,
 )
 
-PRIME_LOW = 2**50
-PRIME_HIGH = 2**62
+PRIME_LOW = 2**24
+PRIME_HIGH = 2**25
 EXACT_COORD_HIGH = 999983
 
 
@@ -79,7 +87,8 @@ def _trial_prime(rng: random.Random, degree: int, weights: Weights) -> int:
     avoid = {2, 3, 5} | set(weights)
     avoid |= {x + y for x in weights for y in weights}
     lo = max(PRIME_LOW, degree + 1)
-    return random_prime(rng, lo, PRIME_HIGH, avoid)
+    # Past PRIME_HIGH a prime still lies in [lo, 2 * lo) (Bertrand), in wider slots.
+    return random_prime(rng, lo, max(PRIME_HIGH, 2 * lo), avoid)
 
 
 def _sample_coords(weights: Weights, count: int, rng: random.Random, high: int):

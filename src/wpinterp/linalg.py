@@ -12,6 +12,7 @@ Davenport 1982).  A determinant is lifted past twice the Hadamard bound.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import cache
 
@@ -70,17 +71,28 @@ def _echelon(rows, p: int, group_sizes, npiv: int):
     before normalizing), and, by row, the slots past ``npiv`` of each row left
     without a pivot before the rank reached ``npiv``.  Each row is packed into
     one int, an ``nb``-byte slot per column, so a reduction is one multiply-add.
+    A slot that fits in 64 bits is one word, and a row packs and unpacks in one
+    ``struct`` call; wider slots go through bytes one entry at a time.
     """
     ncols = len(rows[0]) if rows else 0
     # Slot invariant: a slot starts below p, and each of at most m = min(nrows, npiv)
     # reductions adds (p - f) * y <= (p - 1)**2, so it stays below (m + 1) * p**2 < 2**bits.
     # If this ever breaks, to_bytes raises OverflowError once the carry reaches the top slot.
     bits = 2 * p.bit_length() + (min(len(rows), npiv) + 1).bit_length()
-    nb = (bits + 7) // 8
+    nb = 8 if bits <= 64 else (bits + 7) // 8
     width = 8 * nb
     mask = (1 << width) - 1
     nbytes = nb * ncols
     top = (ncols - 1) * width
+    if nb == 8:
+        words = struct.Struct(f">{ncols}Q")
+        pack, unpack = words.pack, words.unpack
+    else:
+        def pack(*vals):
+            return b"".join([x.to_bytes(nb, "big") for x in vals])
+
+        def unpack(buf):
+            return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, nbytes, nb)]
     echelon = []  # (bit offset of the pivot slot, packed normalized row)
     pivots = []
     dependent = {}
@@ -91,18 +103,17 @@ def _echelon(rows, p: int, group_sizes, npiv: int):
             for k, row in enumerate(rows[idx:idx + size], idx):
                 vals = [x % p for x in row]
                 if echelon:
-                    w = int.from_bytes(b"".join([x.to_bytes(nb, "big") for x in vals]), "big")
+                    w = int.from_bytes(pack(*vals), "big")
                     for shift, packed in echelon:
                         f = ((w >> shift) & mask) % p
                         if f:
                             w += (p - f) * packed
-                    buf = w.to_bytes(nbytes, "big")
-                    vals = [int.from_bytes(buf[i:i + nb], "big") % p for i in range(0, nbytes, nb)]
+                    vals = [x % p for x in unpack(w.to_bytes(nbytes, "big"))]
                 for pc, x in zip(range(npiv), vals):
                     if x:
                         inv = pow(x, -1, p)
-                        packed = b"".join([(y * inv % p).to_bytes(nb, "big") for y in vals])
-                        echelon.append((top - pc * width, int.from_bytes(packed, "big")))
+                        packed = int.from_bytes(pack(*[y * inv % p for y in vals]), "big")
+                        echelon.append((top - pc * width, packed))
                         pivots.append((pc, x))
                         break
                 else:

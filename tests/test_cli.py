@@ -25,6 +25,7 @@ from wpinterp.cli import (
     main,
 )
 from wpinterp.induction import _tree_size
+from wpinterp.interpolation import PRIME_LOW
 from wpinterp.linalg import _MR_EXACT_BELOW, _prime_below
 
 WARN_23 = (
@@ -260,6 +261,11 @@ def test_degree_above_cap_is_usage_error(capsys, deg):
     assert out == ""
     assert f"above {MAX_DEGREE}" in err
     assert _parse_degrees(str(MAX_DEGREE)) == [MAX_DEGREE]
+
+
+def test_degree_cap_below_trial_primes():
+    # A trial prime must exceed the degree; below PRIME_LOW the range stays whole.
+    assert MAX_DEGREE < PRIME_LOW
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

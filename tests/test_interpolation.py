@@ -25,7 +25,7 @@ from wpinterp import (
     sample_trial,
     simple_points_hilbert,
 )
-from wpinterp.interpolation import _matrix_rows
+from wpinterp.interpolation import PRIME_HIGH, PRIME_LOW, _matrix_rows
 from wpinterp.linalg import is_probable_prime, nullspace_exact, rank_exact
 
 W123 = Weights((1, 2, 3))
@@ -288,7 +288,7 @@ def test_sampling_reproducible_and_pinned():
     again = sample_trial(W123, 4, 15, 0, 0)
     assert (prime, coords) == again
     assert is_probable_prime(prime)
-    assert (1 << 50) <= prime < (1 << 62)
+    assert PRIME_LOW <= prime < PRIME_HIGH
     assert len(coords) == 4
     for pt in coords:
         assert pt[0] == 1  # weight-one slot pinned
@@ -301,6 +301,14 @@ def test_sampling_reproducible_and_pinned():
     assert other_trial != (prime, coords)
     other_seed = sample_trial(W123, 4, 15, "s", 0)
     assert other_seed != (prime, coords)
+
+
+def test_trial_prime_above_the_range_for_huge_degrees():
+    # Weights((8192, 8193)) has 2 monomials in degree 2**25 + 8192 * 8193.
+    degree = PRIME_HIGH + 8192 * 8193
+    prime, _ = sample_trial(Weights((8192, 8193)), 1, degree, 0, 0)
+    assert degree < prime < 2 * degree + 2
+    assert is_probable_prime(prime)
 
 
 def test_sampling_without_unit_weight():

@@ -2,8 +2,10 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import GF, Matrix, Rational
 from sympy.polys.matrices import DomainMatrix
 
+from wpinterp import linalg
 from wpinterp.interpolation import PRIME_HIGH
 from wpinterp.linalg import (
     _prime_below,
@@ -25,8 +28,9 @@ from wpinterp.linalg import (
 )
 
 BIG_PRIME = (1 << 61) - 1
-TOP_PRIME = PRIME_HIGH - 57  # the largest prime below PRIME_HIGH = 2**62
-PRIMES = (2, 3, (1 << 31) - 1, BIG_PRIME, TOP_PRIME)
+TOP_PRIME = (1 << 62) - 57  # the largest prime below 2**62: slots wider than a word
+TRIAL_PRIME = _prime_below(PRIME_HIGH)  # the largest trial prime
+PRIMES = (2, 3, TRIAL_PRIME, (1 << 31) - 1, BIG_PRIME, TOP_PRIME)
 
 
 def permutation_det(rows):
@@ -249,6 +253,35 @@ def test_packed_kernel_on_wide_slot_growth():
         assert group_ranks_mod_p(rows, TOP_PRIME, [n]) == [n]
         assert group_ranks_mod_p(rows, TOP_PRIME, [n // 2, n - n // 2]) == \
             list_group_ranks_mod_p(rows, TOP_PRIME, [n // 2, n - n // 2])
+
+
+@pytest.mark.parametrize("nrows, one_word", [(2, True), (3, False)])
+def test_slot_width_picks_the_packing(monkeypatch, nrows, one_word):
+    # At p = 2**31 - 1 the slot needs 2 * 31 + bits(m + 1) bits: 64 for m = 2
+    # rows, one word, and 65 for m = 3, packed byte by byte.
+    p = (1 << 31) - 1
+    assert (2 * p.bit_length() + (nrows + 1).bit_length() <= 64) == one_word
+    structs = []
+
+    def spy(fmt):
+        structs.append(fmt)
+        return struct.Struct(fmt)
+
+    monkeypatch.setattr(linalg, "struct", SimpleNamespace(Struct=spy))
+    rng = random.Random(nrows)
+    for rows in ([[p - 1] * 5 for _ in range(nrows)],
+                 [[p - 1] * 5] + [[rng.choice((p - 1, rng.randrange(p))) for _ in range(5)]
+                                  for _ in range(nrows - 1)]):
+        got = group_ranks_mod_p(rows, p, [1] * nrows)
+        assert got == list_group_ranks_mod_p(rows, p, [1] * nrows)
+        assert got[-1] == sympy_rank(rows, p)
+    assert structs == ([">5Q"] * 2 if one_word else [])
+
+
+def test_trial_primes_fit_one_word_slot():
+    # 2 * bits(p) + bits(m + 1) <= 64 for every m <= 16382, and not for m = 16383.
+    assert 2 * TRIAL_PRIME.bit_length() + (16382 + 1).bit_length() <= 64
+    assert 2 * TRIAL_PRIME.bit_length() + (16383 + 1).bit_length() > 64
 
 
 @pytest.mark.parametrize("p", PRIMES)
