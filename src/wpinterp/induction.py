@@ -651,6 +651,12 @@ def _trace_leaf(w: Weights, d: int, r: int, choice: TerraciniChoice) -> Certific
     return CertificateNode("chandler-leaf", w, d, r, None, rec.to_json_dict(), [])
 
 
+# The builder recurses two frames per induction step, and the longest chain
+# of steps from degree d is at most 0.37 d long (measured on the floor and
+# ceil counts), so degree 1000 needs about 750 of Python's default 1000 frames.
+MAX_CERTIFICATE_DEGREE = 1000
+
+
 def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> CertificateNode:
     """Certificate that r general double points in P(1,2,3) are independent in degree d.
 
@@ -659,7 +665,8 @@ def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> Certi
     walks the floor/ceil lattice of s_t/3.  Degrees at most 5 are closed by a
     direct rank computation with a seed derived from (seed, d, r).  Raises
     CertificateError, naming the failing subproblem, if some node admits no
-    workable step.
+    workable step, and ValueError past MAX_CERTIFICATE_DEGREE, before
+    building anything.
 
     Each (d, r) is solved once per call: a node depends only on (d, r, seed,
     trials), so a repeated subproblem reuses the node (or the failure) of its
@@ -670,6 +677,11 @@ def build_certificate(weights, d: int, r: int, seed=0, trials: int = 3) -> Certi
         raise UnsupportedWeightsError("certificates are implemented for weights (1, 2, 3)")
     if d < 0 or r < 0:
         raise ValueError("d and r must be nonnegative")
+    if d > MAX_CERTIFICATE_DEGREE:
+        raise ValueError(
+            f"certificates are built up to degree {MAX_CERTIFICATE_DEGREE}, not {d}:"
+            " the builder recurses once per induction step"
+        )
     node = _build(w, d, r, seed, trials, {})
     if isinstance(node, _Failure):
         raise CertificateError(node.message("root"))

@@ -33,6 +33,16 @@ degree, trial), so results are reproducible across runs and processes.
 
 One trial loop serves every rank profile: ``hilbert_fat_points`` (the
 whole configuration) and ``ah_profile_scan`` (every leading part of it).
+It enumerates the basis once per degree.  When the points impose few
+conditions against s_d, a trial first ranks its rows on a column subset:
+with k the largest expected value, k + 8 columns whenever 2 (k + 8) <= s_d,
+namely every column of total degree at most m - 2 for the largest
+multiplicity m (the extra rows' columns) and random others.  The bound is
+two-sided: a subset's rank is at most the full matrix's, which is at most
+its expected value min{s_d, conditions}.  So a subset that reaches every
+expected value gives the full matrix's ranks; one that falls short leaves
+the trial to the full matrix, and the degree's later trials skip the
+subset.  Ranks and trial counts are the full matrix's either way.
 """
 
 from __future__ import annotations
@@ -333,6 +343,22 @@ def _reduce_coords(coords, prime):
     return tuple(out)
 
 
+def _trial_points(cfg: FatPointConfig, degree: int, trial: int):
+    """(prime, coords) of one trial: cfg's own points, reduced if it names a prime, or sampled."""
+    if cfg.points is None:
+        return sample_trial(cfg.weights, cfg.r, degree, cfg.seed, trial, cfg.field)
+    if cfg.field in (None, "exact"):
+        return None, [p.coords for p in cfg.points]
+    prime = _fixed_prime(cfg.field, degree)
+    return prime, [_reduce_coords(p.coords, prime) for p in cfg.points]
+
+
+def _evaluation_matrix(cfg: FatPointConfig, degree: int, basis, prime, coords) -> EvaluationMatrix:
+    """The matrix of one trial's points against ``basis``, the whole degree's or a column subset."""
+    rows = _matrix_rows(cfg.weights, basis, coords, cfg.multiplicities, prime)
+    return EvaluationMatrix(cfg.weights, degree, basis, rows, cfg.multiplicities, prime, coords)
+
+
 def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) -> EvaluationMatrix:
     """The evaluation matrix of cfg in one degree.
 
@@ -342,19 +368,8 @@ def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) ->
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    w = cfg.weights
-    basis = enumerate_monomials(w, degree)
-    if cfg.points is not None:
-        if cfg.field in (None, "exact"):
-            prime = None
-            coords = [p.coords for p in cfg.points]
-        else:
-            prime = _fixed_prime(cfg.field, degree)
-            coords = [_reduce_coords(p.coords, prime) for p in cfg.points]
-    else:
-        prime, coords = sample_trial(w, cfg.r, degree, cfg.seed, trial, cfg.field)
-    rows = _matrix_rows(w, basis, coords, cfg.multiplicities, prime)
-    return EvaluationMatrix(w, degree, basis, rows, cfg.multiplicities, prime, coords)
+    basis = enumerate_monomials(cfg.weights, degree)
+    return _evaluation_matrix(cfg, degree, basis, *_trial_points(cfg, degree, trial))
 
 
 @dataclass(frozen=True)
@@ -399,6 +414,16 @@ def _profile(weights, r, degree, s_d, expected, actual, trials) -> RankProfile:
     )
 
 
+def _subset_columns(basis, multiplicity: int, size: int, rng: random.Random) -> list[int]:
+    """Every low column of the multiplicity and random others, ``size`` columns at least.
+
+    The basis is graded-lex descending, so the low columns are its last ones.
+    """
+    low = _low_columns(basis, multiplicity)
+    others = range(len(basis) - len(low))
+    return sorted(rng.sample(others, max(0, size - len(low)))) + low
+
+
 def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list[RankProfile]:
     """Profiles of the first k points for k = 1..r (per_point) or k = r alone.
 
@@ -408,6 +433,8 @@ def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list
     reaches its expected value; explicit points are one trial.  Degree zero
     reports the expected value and a degree with no monomials (every
     negative one) or no points reports 0, with no matrix and 0 trials.
+    Wide degrees try a column subset first (module docstring), its random
+    columns drawn from the trial's own "columns" stream.
     """
     w = cfg.weights
     s_d = count_monomials(w, degree)
@@ -417,15 +444,30 @@ def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list
     else:
         counts, conditions = [cfg.r], [cfg.conditions]
     expect = [min(s_d, c) for c in conditions]
+
+    def ranks(basis, prime, coords) -> list[int]:
+        mat = _evaluation_matrix(cfg, degree, basis, prime, coords)
+        return mat.group_ranks() if per_point else [mat.rank()]
+
     if degree == 0 or not any(expect):
         best, used = expect, 0
     else:
+        size = max(expect) + 8
+        subset = 2 * size <= s_d
+        basis = enumerate_monomials(w, degree)
         best, used = [0] * len(expect), 0
         for trial in range(cfg.trials if cfg.points is None else 1):
             used += 1
-            mat = build_evaluation_matrix(cfg, degree, trial)
-            ranks = mat.group_ranks() if per_point else [mat.rank()]
-            best = [max(b, x) for b, x in zip(best, ranks)]
+            prime, coords = _trial_points(cfg, degree, trial)
+            if subset:
+                rng = _stream(cfg.seed, degree, trial, "columns")
+                cols = _subset_columns(basis, max(cfg.multiplicities), size, rng)
+                got = ranks([basis[c] for c in cols], prime, coords)
+                if got == expect:
+                    best = got
+                    break
+                subset = False
+            best = [max(b, x) for b, x in zip(best, ranks(basis, prime, coords))]
             if all(b >= e for b, e in zip(best, expect)):
                 break
     return [_profile(w, r, degree, s_d, e, b, used) for r, e, b in zip(counts, expect, best)]

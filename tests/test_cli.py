@@ -286,6 +286,18 @@ def test_trace_budget_admits_degree_70_and_rejects_80():
     assert _tree_size(build_certificate(w, 80, 191)) == 2_886_961 > MAX_TRACE_NODES
 
 
+@pytest.mark.parametrize("deg, points", [(1001, 1), (1400, 54678), (4000, 444667)])
+def test_trace_past_the_certificate_degree_cap_is_usage_error(capsys, deg, points):
+    code, out, err = run(
+        capsys, ["terracini-trace", "--weights", "1,2,3", "--deg", str(deg), "--points", str(points)]
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: certificates are built up to degree 1000, not {deg}:"
+        " the builder recurses once per induction step\n"
+    )
+
+
 TEXT_TRACE_KINDS = {"terracini": "terracini", "trace": "chandler-leaf", "base": "base"}
 
 

@@ -238,6 +238,17 @@ def test_certificate_rejects_other_weights():
         build_certificate(W123, -1, 2)
 
 
+def test_certificate_degree_cap_is_decided_before_building(monkeypatch):
+    top = induction.MAX_CERTIFICATE_DEGREE
+    s = count_monomials(W123, top)
+    for r in (s // 3, -(-s // 3)):  # the deepest chains, under the default recursion limit
+        assert build_certificate(W123, top, r).d == top
+    monkeypatch.setattr(induction, "_build", None)  # nothing past the cap reaches the builder
+    for d in (top + 1, 1400, 4000):
+        with pytest.raises(ValueError, match=f"up to degree {top}, not {d}"):
+            build_certificate(W123, d, count_monomials(W123, d) // 3)
+
+
 def test_certificate_base_cases():
     cert = build_certificate(W123, 4, 1)
     assert cert.kind == "base"

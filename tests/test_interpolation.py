@@ -1,8 +1,10 @@
 """Evaluation matrices and generic ranks, checked against symbolic differentiation."""
 
 import math
+import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from wpinterp import (
     sample_trial,
     simple_points_hilbert,
 )
+from wpinterp import interpolation
 from wpinterp.interpolation import PRIME_HIGH, PRIME_LOW, _matrix_rows
 from wpinterp.linalg import is_probable_prime, nullspace_exact, rank_exact
 
@@ -395,6 +398,105 @@ def test_scan_degree_zero():
     profiles = ah_profile_scan(W123, 0, 3)
     assert [p.actual for p in profiles] == [1, 1, 1]
     assert all(p.expected == 1 for p in profiles)
+
+
+def full_matrix_ranks(cfg, degree, expect, per_point):
+    """The trial loop without column subsets: (best ranks, trials used)."""
+    best = [0] * len(expect)
+    for trial in range(cfg.trials):
+        mat = build_evaluation_matrix(cfg, degree, trial)
+        ranks = mat.group_ranks() if per_point else [mat.rank()]
+        best = [max(b, x) for b, x in zip(best, ranks)]
+        if all(b >= e for b, e in zip(best, expect)):
+            return best, trial + 1
+    return best, cfg.trials
+
+
+# (1, 2, 11) has low columns in wide degrees: z^4 at d = 44 for 6-fold points.
+SUBSET_WEIGHTS = [(1, 1, 1), (1, 2, 3), (1, 2, 11), (1, 3, 5), (1, 1, 2, 3)]
+
+
+@st.composite
+def wide_cases(draw):
+    """Weights, degree, multiplicities and field of a configuration that passes the subset gate."""
+    w = Weights(draw(st.sampled_from(SUBSET_WEIGHTS)))
+    mults = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    need = 2 * (sum(conditions_of_multiplicity(m, w.n) for m in mults) + 8)
+    start = next(d for d in range(200) if count_monomials(w, d) >= need)
+    degree = draw(st.integers(start, start + 8))
+    field = draw(st.sampled_from([None, None, "exact"]))
+    return w, degree, mults, field
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=wide_cases(), seed=st.integers(0, 10**6))
+@example(case=((1, 2, 11), 44, (6,), None), seed=0)
+@example(case=((1, 2, 11), 44, (6,), "exact"), seed=0)
+@example(case=((1, 1, 40), 30, (2, 2), None), seed=0)  # deficient: the subset falls short
+def test_subset_first_trials_match_full_matrix_elimination(case, seed):
+    entries, degree, mults, field = case
+    w = Weights(entries)
+    s_d = count_monomials(w, degree)
+    conditions = list(accumulate(conditions_of_multiplicity(m, w.n) for m in mults))
+    assert 2 * (min(s_d, conditions[-1]) + 8) <= s_d  # the gate holds
+    cfg = FatPointConfig(w, mults, field=field, seed=seed)
+    prof = hilbert_fat_points(cfg, degree)
+    want, used = full_matrix_ranks(cfg, degree, [min(s_d, conditions[-1])], False)
+    assert (prof.actual, prof.trials) == (want[0], used)
+
+    m = min(mults)  # the scan's largest expected value is then within the gate too
+    scan = ah_profile_scan(w, degree, len(mults), multiplicity=m, seed=seed, field=field)
+    cfg = FatPointConfig(w, (m,) * len(mults), field=field, seed=seed)
+    expect = [min(s_d, k * conditions_of_multiplicity(m, w.n)) for k in range(1, len(mults) + 1)]
+    want, used = full_matrix_ranks(cfg, degree, expect, True)
+    assert [p.actual for p in scan] == want
+    assert {p.trials for p in scan} == {used}
+
+
+def record_column_counts(monkeypatch):
+    """The column count of every matrix the trial loop ranks, in order."""
+    counts = []
+    build = interpolation._evaluation_matrix
+
+    def recording(cfg, degree, basis, prime, coords):
+        counts.append(len(basis))
+        return build(cfg, degree, basis, prime, coords)
+
+    monkeypatch.setattr(interpolation, "_evaluation_matrix", recording)
+    return counts
+
+
+def test_deficient_wide_configuration_falls_back_once(monkeypatch):
+    # Degree 30 < 40 has no z, so the forms are binary and a double point
+    # imposes 2 conditions, not 3: rank 4 of an expected 6 on 31 columns.
+    w, degree = Weights((1, 1, 40)), 30
+    cfg = FatPointConfig(w, (2, 2), seed=5)
+    counts = record_column_counts(monkeypatch)
+    prof = hilbert_fat_points(cfg, degree)
+    assert (prof.expected, prof.actual, prof.trials) == (6, 4, 3)
+    # trial 0 ranks the subset, falls short and ranks the full matrix; later trials skip the subset
+    assert counts == [6 + 8, 31, 31, 31]
+    assert full_matrix_ranks(cfg, degree, [6], False) == ([4], 3)
+
+
+def test_short_subset_leaves_the_trial_to_the_full_matrix(monkeypatch):
+    # Too few columns to reach the expected rank: the full matrix decides trial 0.
+    w, degree = Weights((1, 1, 1)), 20
+    monkeypatch.setattr(interpolation, "_subset_columns", lambda basis, m, size, rng: [0, 1, 2])
+    counts = record_column_counts(monkeypatch)
+    scan = ah_profile_scan(w, degree, 3, multiplicity=4, seed=2)
+    assert counts == [3, count_monomials(w, degree)]
+    assert [(p.expected, p.actual, p.trials) for p in scan] == [(10, 10, 1), (20, 20, 1), (30, 30, 1)]
+
+
+def test_subset_holds_every_low_column():
+    # (1, 2, 11) at d = 44: z^4 is the only monomial of total degree <= 4
+    basis = enumerate_monomials(Weights((1, 2, 11)), 44)
+    cols = interpolation._subset_columns(basis, 6, 29, random.Random(0))
+    assert len(cols) == 29 == len(set(cols))
+    assert cols == sorted(cols) and cols[-1] == len(basis) - 1
+    assert basis[cols[-1]] == (0, 0, 4)
+    assert [c for c in cols if sum(basis[c]) <= 4] == [len(basis) - 1]
 
 
 def test_exact_and_modular_ranks_agree():
