@@ -146,9 +146,21 @@ class TriangleDecomposition:
     """Audit of the lattice-triangle decomposition behind the bound.
 
     T is the triangle bx + cy <= d in the first quadrant; T1 its half-size
-    copy bx + cy <= floor(d/2); T2 and T3 the translates of T1 by
-    (floor(d/2b), 0) and (0, floor(d/2c)).  The middle region's interior
-    lattice points are counted by the double inequality in the proof.
+    copy bx + cy <= half = floor(d/2); T2 and T3 the translates of T1 by
+    (x0, 0) = (floor(d/2b), 0) and (0, y0) = (0, floor(d/2c)).  The middle
+    region T4's interior lattice points are counted by the double
+    inequality in the proof.
+
+    The proof also needs T1, T2, T3 and T4's interior to lie in T, and T4's
+    interior to miss the other three.  Both hold for every (b, c, d) the
+    audit takes, so they are proved here instead of audited.  T2 and T3
+    lie in T because half + b x0 and half + c y0 are at most d.  T4 has
+    points only in columns x < x0; let rise = (half - bx) // c there.  Its
+    interior in column x is y in [rise + 1, y0 - 1].  T1's column is
+    [0, rise] and ends below it; T2 has no point left of x0; T3's column
+    starts at y0, above it.  And bx < b x0 <= half <= d - bx, so rise >= 0
+    and y0 <= (d - bx) / c, which puts [rise + 1, y0 - 1] inside T's
+    column [0, (d - bx) // c].
     """
 
     b: int
@@ -164,8 +176,6 @@ class TriangleDecomposition:
     i13_cap: int
     t4_interior: int
     t4_bound: int | None  # proved lower bound when a threshold regime applies
-    disjoint_middle: bool
-    covered: bool
 
     @property
     def aggregate_holds(self) -> bool:
@@ -174,11 +184,9 @@ class TriangleDecomposition:
 
     @property
     def holds(self) -> bool:
-        """Every clause of the audit: the regions, the i13 cap, T4 and the aggregate."""
+        """Every clause of the audit: the i13 cap, T4 and the aggregate."""
         return (
-            self.disjoint_middle
-            and self.covered
-            and self.i13 <= self.i13_cap
+            self.i13 <= self.i13_cap
             and (self.t4_bound is None or self.t4_interior >= self.t4_bound)
             and self.aggregate_holds
         )
@@ -194,8 +202,8 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     proof's "x > (half - cy)/b, q < y < y0", since x > (half - cy)/b says
     y > (half - bx)/c, which for x < x0 implies y > q, the height of T1's
     hypotenuse over x = x0.  Columns outside [0, d/b] hold no point of any
-    region.  Intersections are intervals, so every count and both region
-    tests are sums and comparisons of interval ends.
+    region.  Intersections are intervals, so every count is a sum of
+    interval lengths.
     """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
@@ -206,7 +214,6 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     y0 = d // (2 * c)
 
     total = t1 = t2 = t3 = i12 = i23 = i13 = t4_interior = 0
-    disjoint_middle = covered = True
     for x in range(d // b + 1):
         # T is [0, top]; T1 is [0, h1], T2 is [0, h2] and T3 is [y0, h3], each
         # cut to top.  Conditional expressions, not min and max calls: this
@@ -227,14 +234,8 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
         i12 += h12 + 1 if h12 >= 0 else 0
         i23 += h23 - y0 + 1 if h23 >= y0 else 0
         i13 += h13 - y0 + 1 if h13 >= y0 else 0
-        lo4, hi4 = rise + 1, y0 - 1  # T4's interior, for x < x0
-        if x < x0 and lo4 <= hi4:
-            t4_interior += hi4 - lo4 + 1
-            # T1 and T2 both start at 0, so their union here is [0, max(h1, h2)]
-            disjoint_middle &= (
-                min(hi4, max(h1, h2)) < max(lo4, 0) and min(hi4, h3) < max(lo4, y0)
-            )
-            covered &= 0 <= lo4 and hi4 <= top
+        if x < x0 and rise + 1 < y0:  # T4's interior is [rise + 1, y0 - 1]
+            t4_interior += y0 - 1 - rise
 
     regime_10c = d >= 10 * c
     regime_6c = d >= 6 * c and (2 * c) // b >= 5
@@ -259,8 +260,6 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
         i13_cap=c // b + 1,
         t4_interior=t4_interior,
         t4_bound=t4_bound,
-        disjoint_middle=disjoint_middle,
-        covered=covered,
     )
 
 

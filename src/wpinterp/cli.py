@@ -29,7 +29,8 @@ from .ideals import (
     point_ideal,
 )
 from .induction import (
-    json_document,
+    MAX_TRACE_NODES,
+    json_chunks,
     numeric_facts_verify,
     teranum_verify,
     terracini_trace,
@@ -39,7 +40,6 @@ from .veronese import VeroneseChart, secant_dimension
 
 MAX_DEGREE_RANGE = 100_000  # degrees one --deg lo..hi may span
 MAX_DEGREE = 1_000_000  # largest --deg; the DP table holds one int per degree up to it
-MAX_TRACE_NODES = 2_000_000  # tree nodes terracini-trace prints before refusing
 
 
 def _parse_weights(text: str) -> Weights:
@@ -128,7 +128,7 @@ def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _csv_cell(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -152,12 +152,12 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
     None prints the preamble and ``text`` instead, which is how FAIL lines
     reach every format.  Payloads may be zero-argument callables, so only
     the chosen one is built.  A CertificateNode in ``body`` is written
-    node by node (see induction.json_document).
+    chunk by chunk (see induction.json_chunks), never joined into one string.
     """
     fmt = args.format
     if fmt == "json" and body is not None:
         body = body() if callable(body) else body
-        lines = [json_document({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body})]
+        chunks = json_chunks({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body})
     else:
         lines = [f"# wpinterp {meta['version']}"]
         lines += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
@@ -172,12 +172,13 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
                 lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
             else:
                 lines.extend(_text_table(columns, rows))
-    out = "\n".join(lines) + "\n"
+        chunks = ["\n".join(lines)]
+    chunks.append("\n")
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(out)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(chunks)
 
 
 def _warn_not_well_formed(weights: Weights):

@@ -366,47 +366,79 @@ class CertificateNode:
 
 _SCHEMA = "wpinterp/certificate/v1"
 
+MAX_TRACE_NODES = 2_000_000  # tree nodes the writers print before refusing
+
+
+def _require_printable(roots) -> None:
+    """Raise ValueError when these certificates print as more than MAX_TRACE_NODES tree nodes."""
+    size = sum(_tree_size(root) for root in roots)
+    if size > MAX_TRACE_NODES:
+        raise ValueError(
+            f"the certificate prints as {size} tree nodes, more than {MAX_TRACE_NODES};"
+            " build and check it with build_certificate and check_certificate instead"
+        )
+
 
 def json_document(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, where top-level values may be CertificateNodes.
+    """``json.dumps(doc, indent=2)``, where top-level values may be CertificateNodes."""
+    return "".join(json_chunks(doc))
 
-    A node is written as its ``to_json_dict()`` would be, byte for byte, but
-    each node object's own fields are encoded once per nesting level and its
-    children are streamed into one chunk list: a revisited shared node costs
-    a few appends, not a dict and an encoding.  Whole subtrees are never
-    cached, since their text grows with the tree, not with the DAG.
+
+def json_chunks(doc: dict) -> list[str]:
+    """The text of json_document(doc) as a list of chunks, to join or write in turn.
+
+    A node is written as its ``to_json_dict()`` would be, byte for byte.
+    Each node object's own fields are encoded once and re-indented per
+    nesting level, and the chunk list of its subtree is kept per (node,
+    level): a revisited shared subtree costs one list extend, not a walk.
+    The memo holds references to chunks, never joined subtree text, so its
+    size follows the DAG's chunk count rather than the printed bytes.
+    Certificates past MAX_TRACE_NODES tree nodes raise ValueError.
     """
+    _require_printable(v for v in doc.values() if isinstance(v, CertificateNode))
     out = ["{"]
-    heads: dict = {}
+    memo: dict = {}
+    owns: dict = {}
     sep = "\n  "
     for key, value in doc.items():
         out.append(f"{sep}{json.dumps(key)}: ")
         if isinstance(value, CertificateNode):
-            _write_node(value, 1, out, heads)
+            out += _node_chunks(value, 1, memo, owns)
         else:
             out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         sep = ",\n  "
     out.append("\n}" if doc else "}")
-    return "".join(out)
+    return out
 
 
-def _write_node(node: CertificateNode, level: int, out: list, heads: dict):
-    """Append the JSON of ``node`` as a value nested ``level`` objects deep."""
+def _node_chunks(node: CertificateNode, level: int, memo: dict, owns: dict) -> list[str]:
+    """The JSON of ``node`` as a value nested ``level`` objects deep, as chunks.
+
+    memo maps (id(node), level) to those chunks, and owns maps id(node) to
+    the node's own fields encoded unindented, without the closing brace.
+    """
+    chunks = memo.get((id(node), level))
+    if chunks is not None:
+        return chunks
+    own = owns.get(id(node))
+    if own is None:
+        # Strip the closing "\n}"; encoded strings hold no raw newline, so
+        # replacing newlines indents only the layout.
+        own = owns[id(node)] = json.dumps(node._own_json_dict(), indent=2)[:-2]
     pad = "\n" + "  " * level
-    head = heads.get((id(node), level))
-    if head is None:
-        # Strip the closing "\n}" and indent: encoded strings hold no raw newline.
-        own = json.dumps(node._own_json_dict(), indent=2)[:-2].replace("\n", pad)
-        head = heads[(id(node), level)] = f'{own},{pad}  "children": '
+    head = own.replace("\n", pad) + f',{pad}  "children": '
     if not node.children:
-        out.append(f"{head}[]{pad}}}")
-        return
-    item = pad + "    "
-    out.append(head + "[")
-    for k, child in enumerate(node.children):
-        out.append(item if k == 0 else "," + item)
-        _write_node(child, level + 2, out, heads)
-    out.append(f"{pad}  ]{pad}}}")
+        chunks = [f"{head}[]{pad}}}"]
+    else:
+        item = pad + "    "
+        chunks = [f"{head}[{item}"]
+        for k, child in enumerate(node.children):
+            if k:
+                chunks.append("," + item)
+            chunks += _node_chunks(child, level + 2, memo, owns)
+        chunks.append(f"{pad}  ]{pad}}}")
+    memo[(id(node), level)] = chunks
+    return chunks
 
 
 def _dag(root: CertificateNode) -> list[CertificateNode]:
@@ -443,33 +475,47 @@ def _tree_walk(root: CertificateNode):
 
 
 def _trace_lines(root: CertificateNode) -> list[str]:
-    """The text trace: a line per tree node, indented by depth, and a step's premises."""
-    lines = []
-    for _, depth, node in _tree_walk(root):
-        pad = "  " * depth
-        wit = node.witnesses
-        if node.kind == "base":
-            lines.append(
-                f"{pad}base d={node.d} r={node.r}: rank {wit['actual']}/{wit['expected']}"
-                f" (trials {wit['trials']})"
-            )
-        elif node.kind == "chandler-leaf":
-            lines.append(
-                f"{pad}trace d={wit['d']} i={wit['i']} q={wit['q']} r={wit['r']}:"
-                f" case {wit['case']} ok"
-            )
-        else:
-            ch = node.choice
-            lines.append(
-                f"{pad}terracini d={node.d} r={node.r}: q={ch.q} into the weight-{ch.weight}"
-                f" hyperplane ({ch.direction}; nq={wit['nq']}, sbar_d={wit['sbar_d']})"
-            )
-            lines += [
-                f"{pad}  premise d={prem['degree']}: required {prem['required']},"
-                f" certified {prem['certified']}"
-                for prem in wit["premises"]
-            ]
-    return lines
+    """The text trace: a line per tree node, indented by depth, and a step's premises.
+
+    As in json_chunks, the lines of each subtree are kept per (node, depth),
+    so a revisited shared subtree costs one list extend, not a walk.
+    Certificates past MAX_TRACE_NODES tree nodes raise ValueError.
+    """
+    _require_printable([root])
+    memo: dict = {}
+
+    def subtree(node: CertificateNode, depth: int) -> list[str]:
+        lines = memo.get((id(node), depth))
+        if lines is None:
+            pad = "  " * depth
+            lines = [pad + line for line in _own_trace_lines(node)]
+            for child in node.children:
+                lines += subtree(child, depth + 1)
+            memo[(id(node), depth)] = lines
+        return lines
+
+    return subtree(root, 0)
+
+
+def _own_trace_lines(node: CertificateNode) -> list[str]:
+    """A node's lines of the text trace, unindented."""
+    wit = node.witnesses
+    if node.kind == "base":
+        return [
+            f"base d={node.d} r={node.r}: rank {wit['actual']}/{wit['expected']}"
+            f" (trials {wit['trials']})"
+        ]
+    if node.kind == "chandler-leaf":
+        return [f"trace d={wit['d']} i={wit['i']} q={wit['q']} r={wit['r']}: case {wit['case']} ok"]
+    ch = node.choice
+    return [
+        f"terracini d={node.d} r={node.r}: q={ch.q} into the weight-{ch.weight}"
+        f" hyperplane ({ch.direction}; nq={wit['nq']}, sbar_d={wit['sbar_d']})"
+    ] + [
+        f"  premise d={prem['degree']}: required {prem['required']},"
+        f" certified {prem['certified']}"
+        for prem in wit["premises"]
+    ]
 
 
 class TraceReport(NamedTuple):
@@ -527,6 +573,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
 
 
 def certificate_to_json(cert: CertificateNode) -> str:
+    """The certificate's JSON document; past MAX_TRACE_NODES tree nodes, a ValueError."""
     return json_document({"schema": _SCHEMA, "root": cert})
 
 

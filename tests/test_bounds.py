@@ -118,13 +118,13 @@ def test_triangle_decomposition_audit(b, c):
         assert dec.holds
 
 
+# Ids start at 2 so that each case keeps its id; the two region clauses
+# that came first are proved in TriangleDecomposition's docstring instead.
 @pytest.mark.parametrize("change", [
-    {"disjoint_middle": False},
-    {"covered": False},
     {"i13": 4},  # i13_cap is 3 at (2, 5)
     {"t4_interior": 5},  # below t4_bound = 7 at d = 50 >= 10c
     {"total": 100},  # the aggregate needs 3 t1 - 5 + t4_interior
-])
+], ids=["change2", "change3", "change4"])
 def test_triangle_holds_needs_every_clause(change):
     dec = triangle_lattice_check(2, 5, 50)
     assert dec.holds
@@ -133,7 +133,12 @@ def test_triangle_holds_needs_every_clause(change):
 
 
 def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
-    """The former point-set body of triangle_lattice_check, kept verbatim as an oracle."""
+    """The former point-set body of triangle_lattice_check, kept as an oracle.
+
+    It also asserts the two region facts that TriangleDecomposition's
+    docstring proves: T4's interior misses T1, T2 and T3, and every region
+    lies in T.
+    """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
     if d < 2 * c:
@@ -182,6 +187,8 @@ def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecompos
         t4_bound = None
 
     union = t1_set | t2_set | t3_set
+    assert not (t4 & union), (b, c, d)
+    assert (union | t4) <= t_set, (b, c, d)
     return TriangleDecomposition(
         b=b,
         c=c,
@@ -196,8 +203,6 @@ def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecompos
         i13_cap=c // b + 1,
         t4_interior=len(t4),
         t4_bound=t4_bound,
-        disjoint_middle=not (t4 & union),
-        covered=(union | t4) <= t_set,
     )
 
 

@@ -221,6 +221,18 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert "4,4,closed-form" in text
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_trace_output_file_matches_stdout(tmp_path, capsys, fmt):
+    argv = ["terracini-trace", "--weights", "1,2,3", "--deg", "30", "--points", "31",
+            "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.endswith("\n")
+    target = tmp_path / f"trace.{fmt}"
+    code, empty, _ = run(capsys, argv + ["--output", str(target)])
+    assert code == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
+
+
 def test_repeat_runs_are_identical(capsys):
     argv = ["ah-check", "--weights", "1,2,3", "--deg", "5..9", "--points", "3"]
     _, first, _ = run(capsys, argv)

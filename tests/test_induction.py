@@ -464,6 +464,113 @@ def test_json_document_places_nodes_anywhere():
     assert json_document(head) == json.dumps(head, indent=2)
 
 
+def reference_json_document(doc: dict) -> str:
+    """The former json_document: one walk of the tree, with each node's head cached per level."""
+    out = ["{"]
+    heads: dict = {}
+    sep = "\n  "
+    for key, value in doc.items():
+        out.append(f"{sep}{json.dumps(key)}: ")
+        if isinstance(value, induction.CertificateNode):
+            reference_write_node(value, 1, out, heads)
+        else:
+            out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.append("\n}" if doc else "}")
+    return "".join(out)
+
+
+def reference_write_node(node, level: int, out: list, heads: dict):
+    """Append the JSON of ``node`` as a value nested ``level`` objects deep."""
+    pad = "\n" + "  " * level
+    head = heads.get((id(node), level))
+    if head is None:
+        # Strip the closing "\n}" and indent: encoded strings hold no raw newline.
+        own = json.dumps(node._own_json_dict(), indent=2)[:-2].replace("\n", pad)
+        head = heads[(id(node), level)] = f'{own},{pad}  "children": '
+    if not node.children:
+        out.append(f"{head}[]{pad}}}")
+        return
+    item = pad + "    "
+    out.append(head + "[")
+    for k, child in enumerate(node.children):
+        out.append(item if k == 0 else "," + item)
+        reference_write_node(child, level + 2, out, heads)
+    out.append(f"{pad}  ]{pad}}}")
+
+
+def reference_trace_lines(root) -> list[str]:
+    """The former text trace: a line per tree node, indented by depth, and a step's premises."""
+    lines = []
+    for _, depth, node in induction._tree_walk(root):
+        pad = "  " * depth
+        wit = node.witnesses
+        if node.kind == "base":
+            lines.append(
+                f"{pad}base d={node.d} r={node.r}: rank {wit['actual']}/{wit['expected']}"
+                f" (trials {wit['trials']})"
+            )
+        elif node.kind == "chandler-leaf":
+            lines.append(
+                f"{pad}trace d={wit['d']} i={wit['i']} q={wit['q']} r={wit['r']}:"
+                f" case {wit['case']} ok"
+            )
+        else:
+            ch = node.choice
+            lines.append(
+                f"{pad}terracini d={node.d} r={node.r}: q={ch.q} into the weight-{ch.weight}"
+                f" hyperplane ({ch.direction}; nq={wit['nq']}, sbar_d={wit['sbar_d']})"
+            )
+            lines += [
+                f"{pad}  premise d={prem['degree']}: required {prem['required']},"
+                f" certified {prem['certified']}"
+                for prem in wit["premises"]
+            ]
+    return lines
+
+
+def _balanced(d: int) -> list[int]:
+    s_d = count_monomials(W123, d)
+    return sorted({s_d // 3, -(-s_d // 3)})
+
+
+@pytest.mark.parametrize("d", range(6, 41))
+def test_memoized_writers_match_the_tree_walks(d):
+    for r in _balanced(d):
+        cert = build_certificate(W123, d, r)
+        doc = {"schema": "wpinterp/certificate/v1", "root": cert}
+        assert certificate_to_json(cert) == reference_json_document(doc), (d, r)
+        assert induction._trace_lines(cert) == reference_trace_lines(cert), (d, r)
+
+
+def test_memoized_writers_match_on_a_certificate_read_back():
+    # certificate_from_json shares no node objects, so no memo entry is reused
+    text = certificate_to_json(build_certificate(W123, 40, _balanced(40)[-1]))
+    tree = certificate_from_json(text)
+    doc = {"schema": "wpinterp/certificate/v1", "root": tree}
+    assert reference_json_document(doc) == text
+    assert certificate_to_json(tree) == text
+    assert induction._trace_lines(tree) == reference_trace_lines(tree)
+    mixed = {"a": [1, {"b": "x\ny"}], "first": tree, "none": None, "last": tree}
+    assert json_document(mixed) == reference_json_document(mixed)
+
+
+def test_writers_refuse_past_the_printed_tree_budget():
+    cert = build_certificate(W123, 100, count_monomials(W123, 100) // 3)
+    assert len(induction._dag(cert)) == 239
+    assert induction._tree_size(cert) == 92_460_133 > induction.MAX_TRACE_NODES
+    start = time.perf_counter()
+    for write in (
+        certificate_to_json,
+        lambda c: json_document({"certificate": c}),
+        induction._trace_lines,
+    ):
+        with pytest.raises(ValueError, match="prints as 92460133 tree nodes") as err:
+            write(cert)
+        assert "build_certificate" in str(err.value) and "check_certificate" in str(err.value)
+    assert time.perf_counter() - start < 1
+
+
 def _fail_base_cases(monkeypatch, bad):
     """Make the base-case rank of every (d, r) with bad(d, r) fall one short."""
     real = induction.hilbert_fat_points

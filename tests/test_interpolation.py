@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -27,7 +26,7 @@ from wpinterp import (
     sample_trial,
     simple_points_hilbert,
 )
-from wpinterp import interpolation
+from wpinterp import interpolation, linalg
 from wpinterp.interpolation import PRIME_HIGH, PRIME_LOW, _matrix_rows
 from wpinterp.linalg import is_probable_prime, nullspace_exact, rank_exact
 
@@ -529,15 +528,23 @@ def test_exact_field_on_larger_cases(weights, d, r, actual, deficiency):
     assert (prof.actual, prof.deficiency) == (actual, deficiency)
 
 
-def test_exact_deficient_rank_needs_few_primes():
+def test_exact_deficient_rank_needs_few_primes(monkeypatch):
     # A 110 x 190 matrix of rank 109: its row dependency has 180-bit entries,
     # so a few primes prove the rank, while the Hadamard bound of its minors
-    # is about 2**19690, one 61-bit prime per 61 bits.
-    start = time.perf_counter()
+    # is about 2**19690, one 61-bit prime per 61 bits (about 323 per trial).
+    # Each prime is one elimination, so counting them counts the primes.
+    calls = []
+    real = linalg._echelon
+
+    def counting(rows, p, group_sizes, npiv):
+        calls.append(p)
+        return real(rows, p, group_sizes, npiv)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
     cfg = FatPointConfig(Weights((1, 1, 1)), (10, 10), field="exact", seed=1)
     prof = hilbert_fat_points(cfg, 18)
     assert (prof.actual, prof.deficiency) == (109, 1)
-    assert time.perf_counter() - start < 1.6
+    assert len(calls) == 3 * 6  # three trials, six primes each
 
 
 def test_two_fixed_primes_agree():
