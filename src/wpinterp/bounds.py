@@ -44,8 +44,8 @@ def exception_sufficient(weights, r: int, d: int) -> bool:
 def exception_classifier_div3(weights, d: int) -> bool:
     """For P(1, b, c) and 3 | s_d: are s_d/3 general double points deficient?
 
-    In this balanced case the sufficient test is also necessary, so the
-    answer is exact: deficient iff s_d/3 < s_{floor(d/2)}.
+    In this balanced case the sufficient test at r = s_d/3 is also
+    necessary, so the answer is exact: deficient iff s_d/3 < s_{floor(d/2)}.
     """
     w = Weights(weights)
     _require_unit_first(w)
@@ -54,7 +54,7 @@ def exception_classifier_div3(weights, d: int) -> bool:
     s_d = count_monomials(w, d)
     if s_d % 3:
         raise ValueError(f"s_{d} = {s_d} is not divisible by 3")
-    return s_d // 3 < count_monomials(w, d // 2)
+    return exception_sufficient(w, s_d // 3, d)
 
 
 def neck_condition(weights, r: int) -> bool:
@@ -72,6 +72,11 @@ def neck_condition(weights, r: int) -> bool:
     if b == 1:
         return c <= r + 1
     return c < (r + 1) * b
+
+
+def _proved_from(b: int, c: int) -> int:
+    """Degree from which the thirds inequality is proved: 6c if floor(2c/b) >= 5, else 10c."""
+    return 6 * c if (2 * c) // b >= 5 else 10 * c
 
 
 @dataclass(frozen=True)
@@ -117,15 +122,15 @@ class BoundCheckReport:
 def interpolation_bound_check(b: int, c: int, degrees) -> BoundCheckReport:
     """Check floor(s_d/3) >= s_{floor(d/2)} over a degree range.
 
-    Degrees at or beyond the proved threshold (10c, or 6c when
-    floor(2c/b) >= 5) are asserted: a failure there raises
-    BoundViolationError instead of being reported quietly.
+    Degrees at or beyond the proved threshold ``_proved_from(b, c)`` are
+    asserted: a failure there raises BoundViolationError instead of being
+    reported quietly.
     """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
     w = Weights((1, b, c))
-    ratio_ok = (2 * c) // b >= 5
-    threshold = 6 * c if ratio_ok else 10 * c
+    threshold = _proved_from(b, c)
+    ratio_ok = threshold == 6 * c
     rows = []
     for d in degrees:
         lhs = count_monomials(w, d) // 3
@@ -147,20 +152,26 @@ class TriangleDecomposition:
 
     T is the triangle bx + cy <= d in the first quadrant; T1 its half-size
     copy bx + cy <= half = floor(d/2); T2 and T3 the translates of T1 by
-    (x0, 0) = (floor(d/2b), 0) and (0, y0) = (0, floor(d/2c)).  The middle
-    region T4's interior lattice points are counted by the double
-    inequality in the proof.
+    (x0, 0) and (0, y0), where x0 = floor(d/2b) = floor(half/b) and
+    y0 = floor(d/2c) = floor(half/c); T4 the middle region.  Only T, T1 and
+    T4's interior are counted.  The other facts the proof needs hold for
+    every (b, c, d) the audit takes, so they are proved here instead.
 
-    The proof also needs T1, T2, T3 and T4's interior to lie in T, and T4's
-    interior to miss the other three.  Both hold for every (b, c, d) the
-    audit takes, so they are proved here instead of audited.  T2 and T3
-    lie in T because half + b x0 and half + c y0 are at most d.  T4 has
-    points only in columns x < x0; let rise = (half - bx) // c there.  Its
-    interior in column x is y in [rise + 1, y0 - 1].  T1's column is
-    [0, rise] and ends below it; T2 has no point left of x0; T3's column
-    starts at y0, above it.  And bx < b x0 <= half <= d - bx, so rise >= 0
-    and y0 <= (d - bx) / c, which puts [rise + 1, y0 - 1] inside T's
-    column [0, (d - bx) // c].
+    b x0 <= half < b(x0 + 1) and c y0 <= half < c(y0 + 1).  T2 and T3 lie
+    in T, since half + b x0 and half + c y0 are at most d, so each has
+    |T1| = s_{floor(d/2)} points.  T1 and T2 meet in at most (x0, 0): x >= x0
+    and bx <= half force x = x0, then cy <= half - b x0 < c.  T2 and T3 meet
+    in at most (x0, y0): in T3 y >= y0 forces bx <= half, so x = x0, and
+    then T2 gives cy <= half.  T1 and T3 meet in row y0, where
+    bx <= half - c y0 < c: at most floor(c/b) + 1 points.
+
+    T4 has points only in columns x < x0; let rise = (half - bx) // c
+    there.  Its interior in column x is y in [rise + 1, y0 - 1], above T1's
+    column [0, rise] and below T3's, which starts at y0; T2 has no point
+    left of x0.  And bx < b x0 <= half <= d - bx, so rise >= 0 and
+    y0 <= (d - bx) / c: the interval lies in T's column [0, (d - bx) // c].
+    By inclusion-exclusion, then, s_d >= 3 s_{floor(d/2)} - 3 - floor(c/b)
+    + #interior(T4), the aggregate clause.
     """
 
     b: int
@@ -168,12 +179,6 @@ class TriangleDecomposition:
     d: int
     total: int
     t1: int
-    t2: int
-    t3: int
-    i12: int
-    i23: int
-    i13: int
-    i13_cap: int
     t4_interior: int
     t4_bound: int | None  # proved lower bound when a threshold regime applies
 
@@ -184,26 +189,24 @@ class TriangleDecomposition:
 
     @property
     def holds(self) -> bool:
-        """Every clause of the audit: the i13 cap, T4 and the aggregate."""
+        """Every clause of the audit: T4, the aggregate and total = s_d."""
         return (
-            self.i13 <= self.i13_cap
-            and (self.t4_bound is None or self.t4_interior >= self.t4_bound)
+            (self.t4_bound is None or self.t4_interior >= self.t4_bound)
             and self.aggregate_holds
+            and self.total == count_monomials(Weights((1, self.b, self.c)), self.d)
         )
 
 
 def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
-    """Count every region of the decomposition exactly, one column x at a time.
+    """Count T, T1 and T4's interior exactly, one row y at a time.
 
-    In column x every region is an interval of integer y, cut to T's
-    column [0, top] as a point set would be: T1 is [0, (half - bx)/c], T2
-    is T1's column x - x0, T3 is T1's column shifted up by y0, and T4's
-    interior is ((half - bx)/c, y0) for x < x0.  That last interval is the
-    proof's "x > (half - cy)/b, q < y < y0", since x > (half - cy)/b says
-    y > (half - bx)/c, which for x < x0 implies y > q, the height of T1's
-    hypotenuse over x = x0.  Columns outside [0, d/b] hold no point of any
-    region.  Intersections are intervals, so every count is a sum of
-    interval lengths.
+    In row y each region is an interval of integer x: T is
+    [0, (d - cy)/b] for y <= d/c, T1 is [0, (half - cy)/b] for y <= y0,
+    and T4's interior is the proof's "(half - cy)/b < x < x0, q < y < y0".
+    Here q = (half - b x0)/c, the height of T1's hypotenuse over x = x0,
+    lies in [0, 1), so those rows are 1 <= y < y0.  In them
+    0 <= half - cy <= half - b, so T4's row holds x0 - 1 - (half - cy) // b
+    >= 0 points, all with x >= 1.  Rows, not columns: c >= b makes them fewer.
     """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
@@ -212,55 +215,17 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     half = d // 2
     x0 = d // (2 * b)
     y0 = d // (2 * c)
+    total = sum((d - c * y) // b + 1 for y in range(d // c + 1))
+    t1 = sum((half - c * y) // b + 1 for y in range(y0 + 1))
+    t4_interior = sum(x0 - 1 - (half - c * y) // b for y in range(1, y0))
 
-    total = t1 = t2 = t3 = i12 = i23 = i13 = t4_interior = 0
-    for x in range(d // b + 1):
-        # T is [0, top]; T1 is [0, h1], T2 is [0, h2] and T3 is [y0, h3], each
-        # cut to top.  Conditional expressions, not min and max calls: this
-        # loop is most of verify-suite's triangle audit.
-        top = (d - b * x) // c
-        rise = (half - b * x) // c
-        h1 = rise if rise < top else top
-        h2 = (half - b * (x - x0)) // c if x >= x0 else -1
-        h2 = h2 if h2 < top else top
-        h3 = y0 + rise if y0 + rise < top else top
-        h12 = h1 if h1 < h2 else h2
-        h23 = h2 if h2 < h3 else h3
-        h13 = h1 if h1 < h3 else h3
-        total += top + 1
-        t1 += h1 + 1 if h1 >= 0 else 0
-        t2 += h2 + 1 if h2 >= 0 else 0
-        t3 += h3 - y0 + 1 if h3 >= y0 else 0
-        i12 += h12 + 1 if h12 >= 0 else 0
-        i23 += h23 - y0 + 1 if h23 >= y0 else 0
-        i13 += h13 - y0 + 1 if h13 >= y0 else 0
-        if x < x0 and rise + 1 < y0:  # T4's interior is [rise + 1, y0 - 1]
-            t4_interior += y0 - 1 - rise
-
-    regime_10c = d >= 10 * c
-    regime_6c = d >= 6 * c and (2 * c) // b >= 5
-    if regime_10c:
-        t4_bound = c // b + 5
-    elif regime_6c:
-        t4_bound = (c // b - 1) + ((2 * c) // b - 1)
-    else:
+    if d < _proved_from(b, c):
         t4_bound = None
-
-    return TriangleDecomposition(
-        b=b,
-        c=c,
-        d=d,
-        total=total,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        i12=i12,
-        i23=i23,
-        i13=i13,
-        i13_cap=c // b + 1,
-        t4_interior=t4_interior,
-        t4_bound=t4_bound,
-    )
+    elif d >= 10 * c:
+        t4_bound = c // b + 5
+    else:
+        t4_bound = (c // b - 1) + ((2 * c) // b - 1)
+    return TriangleDecomposition(b, c, d, total, t1, t4_interior, t4_bound)
 
 
 def minimal_balanced_degree(b: int, c: int, r: int) -> int:

@@ -54,11 +54,6 @@ def random_prime(rng, lo: int, hi: int, avoid=frozenset()) -> int:
             return cand
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    return group_ranks_mod_p(rows, p, [len(rows)])[-1]
-
-
 def group_ranks_mod_p(rows, p: int, group_sizes) -> list[int]:
     """Ranks over F_p of the leading rows cut after each group: one pass serves a scan."""
     return _echelon(rows, p, group_sizes, len(rows[0]) if rows else 0)[0]

@@ -114,30 +114,31 @@ def test_triangle_decomposition_audit(b, c):
         dec = triangle_lattice_check(b, c, d)
         assert dec.total == count_monomials(w, d)
         assert dec.t1 == count_monomials(w, d // 2)
-        assert dec.t1 == dec.t2 == dec.t3
         assert dec.holds
 
 
-# Ids start at 2 so that each case keeps its id; the two region clauses
+# Ids start at 3 so that each case keeps its id; the three region clauses
 # that came first are proved in TriangleDecomposition's docstring instead.
 @pytest.mark.parametrize("change", [
-    {"i13": 4},  # i13_cap is 3 at (2, 5)
     {"t4_interior": 5},  # below t4_bound = 7 at d = 50 >= 10c
     {"total": 100},  # the aggregate needs 3 t1 - 5 + t4_interior
-], ids=["change2", "change3", "change4"])
+    {"total": 147},  # s_50 + 1: the aggregate still holds, total = s_d fails
+    {"t1": 44},  # 3 t1 - 5 + t4_interior = 147 > total, which is still s_50
+], ids=["change3", "change4", "change5", "change6"])
 def test_triangle_holds_needs_every_clause(change):
     dec = triangle_lattice_check(2, 5, 50)
     assert dec.holds
-    assert (dec.i13_cap, dec.t4_bound) == (3, 7)
+    assert (dec.total, dec.t1, dec.t4_interior, dec.t4_bound) == (146, 42, 20, 7)
     assert not dataclasses.replace(dec, **change).holds
 
 
 def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     """The former point-set body of triangle_lattice_check, kept as an oracle.
 
-    It also asserts the two region facts that TriangleDecomposition's
-    docstring proves: T4's interior misses T1, T2 and T3, and every region
-    lies in T.
+    It also asserts the region facts that TriangleDecomposition's docstring
+    proves: T4's interior misses T1, T2 and T3; every region lies in T;
+    T1, T2 and T3 have equally many points; T1 meets T2 and T2 meets T3 in
+    at most one point, and T1 meets T3 in at most floor(c/b) + 1.
     """
     if not (1 <= b <= c):
         raise ValueError("need 1 <= b <= c")
@@ -189,18 +190,15 @@ def reference_triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecompos
     union = t1_set | t2_set | t3_set
     assert not (t4 & union), (b, c, d)
     assert (union | t4) <= t_set, (b, c, d)
+    assert len(t1_set) == len(t2_set) == len(t3_set), (b, c, d)
+    assert len(i12) <= 1 and len(i23) <= 1, (b, c, d)
+    assert len(i13) <= c // b + 1, (b, c, d)
     return TriangleDecomposition(
         b=b,
         c=c,
         d=d,
         total=len(t_set),
         t1=len(t1_set),
-        t2=len(t2_set),
-        t3=len(t3_set),
-        i12=len(i12),
-        i23=len(i23),
-        i13=len(i13),
-        i13_cap=c // b + 1,
         t4_interior=len(t4),
         t4_bound=t4_bound,
     )
@@ -217,6 +215,15 @@ def test_triangle_columns_match_the_point_sets():
     ]
     for b, c, d in grid:
         assert triangle_lattice_check(b, c, d) == reference_triangle_lattice_check(b, c, d)
+
+
+def test_asserted_degrees_are_the_audits_t4_regimes():
+    for b in range(1, 13):
+        for c in range(b, 13):
+            degrees = range(2 * c, 14 * c + 1)
+            report = interpolation_bound_check(b, c, degrees)
+            for row in report.rows:
+                assert row.asserted == (triangle_lattice_check(b, c, row.d).t4_bound is not None)
 
 
 def test_triangle_needs_room():

@@ -24,7 +24,6 @@ from wpinterp.linalg import (
     nullspace_exact,
     random_prime,
     rank_exact,
-    rank_mod_p,
 )
 
 BIG_PRIME = (1 << 61) - 1
@@ -122,7 +121,7 @@ def test_rank_mod_p_matches_exact_on_small_entries():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_matrix(rng, nrows, ncols)
         mod = [[x % BIG_PRIME for x in row] for row in rows]
-        assert rank_mod_p(mod, BIG_PRIME) == rank_exact(rows)
+        assert group_ranks_mod_p(mod, BIG_PRIME, [len(mod)])[-1] == rank_exact(rows)
 
 
 def test_group_ranks_are_prefix_ranks():
@@ -241,7 +240,7 @@ def test_packed_kernel_edge_shapes(p):
     assert group_ranks_mod_p([], p, []) == []
     assert group_ranks_mod_p([], p, [0, 0]) == [0, 0]
     assert group_ranks_mod_p([[], []], p, [1, 1]) == [0, 0]
-    assert rank_mod_p([], p) == 0
+    assert group_ranks_mod_p([], p, [0])[-1] == 0
 
 
 def test_packed_kernel_on_wide_slot_growth():
@@ -293,8 +292,8 @@ def test_packed_kernel_reduces_unreduced_and_negative_entries(p):
         reduced = [[x % p for x in row] for row in rows]
         sizes = split_sizes(rng, nrows)
         assert group_ranks_mod_p(rows, p, sizes) == list_group_ranks_mod_p(reduced, p, sizes)
-    assert rank_mod_p([[-1, 1], [1, -1]], p) == 1
-    assert rank_mod_p([[-1, 0], [0, -p - 1]], p) == 2
+    assert group_ranks_mod_p([[-1, 1], [1, -1]], p, [2])[-1] == 1
+    assert group_ranks_mod_p([[-1, 0], [0, -p - 1]], p, [2])[-1] == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +309,7 @@ def test_group_ranks_monotone_and_last_is_rank(p, ncols, data):
     ranks = group_ranks_mod_p(rows, p, sizes)
     assert len(ranks) == len(sizes)
     assert ranks == sorted(ranks)
-    assert ranks[-1] == rank_mod_p(rows, p)
+    assert ranks[-1] == group_ranks_mod_p(rows, p, [len(rows)])[-1]
     assert ranks[-1] <= min(len(rows), ncols)
 
 
