@@ -13,13 +13,8 @@ from .bounds import (
     BoundCheckReport,
     BoundViolationError,
     TriangleDecomposition,
-    UniquenessReport,
-    classify_plane_123_uniqueness,
-    exception_classifier_div3,
     exception_sufficient,
     interpolation_bound_check,
-    minimal_balanced_degree,
-    neck_condition,
     triangle_lattice_check,
 )
 from .grading import (

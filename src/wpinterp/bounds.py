@@ -1,18 +1,20 @@
-"""Numerical bounds and exception classification for double points in P(1, b, c).
+"""Double points in P(1, b, c): a proved deficiency and the halving inequality.
 
-The central inequality is floor(s_d / 3) >= s_{floor(d/2)}: whenever it
-holds, no set of general double points can be deficient in degree d.  It is
-proved by decomposing the lattice triangle {bx + cy <= d} into three
-half-size translates plus a middle region, and it holds for all d >= 10c
-(and already for d >= 6c when floor(2c/b) >= 5).  The converse direction is
-the sufficient exception test: r general double points with r < s_{floor(d/2)}
-and (n+1) r >= s_d are never independent in degree d, because the square of
-a low-degree form through the reduced points survives.
+This module answers two questions.  Is a deficiency proved?
+exception_sufficient: r general double points with r < s_{floor(d/2)} and
+(n+1) r >= s_d are never independent in degree d, because the square of a
+form of degree floor(d/2) through the reduced points survives.  Does the
+halving inequality floor(s_d / 3) >= s_{floor(d/2)} hold?  Where it does,
+that test cannot fire on P(1, b, c) in degree d, since 3r >= s_d forces
+r >= s_{floor(d/2)}.  interpolation_bound_check tests it over a degree range and asserts it from
+d >= 10c (already d >= 6c when floor(2c/b) >= 5), where it is proved by
+decomposing the lattice triangle {bx + cy <= d} into three half-size
+translates plus a middle region; triangle_lattice_check audits that
+decomposition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grading import Weights, count_monomials
@@ -41,41 +43,8 @@ def exception_sufficient(weights, r: int, d: int) -> bool:
     return r < count_monomials(w, d // 2) and (w.n + 1) * r >= count_monomials(w, d)
 
 
-def exception_classifier_div3(weights, d: int) -> bool:
-    """For P(1, b, c) and 3 | s_d: are s_d/3 general double points deficient?
-
-    In this balanced case the sufficient test at r = s_d/3 is also
-    necessary, so the answer is exact: deficient iff s_d/3 < s_{floor(d/2)}.
-    """
-    w = Weights(weights)
-    _require_unit_first(w)
-    if len(w) != 3:
-        raise ValueError("expected three weights")
-    s_d = count_monomials(w, d)
-    if s_d % 3:
-        raise ValueError(f"s_{d} = {s_d} is not divisible by 3")
-    return exception_sufficient(w, s_d // 3, d)
-
-
-def neck_condition(weights, r: int) -> bool:
-    """Necessary condition for r general double points to be independent in all degrees.
-
-    For P(1, b, c): c <= r + 1 when b = 1, and c < (r + 1) b otherwise.
-    Returns True when the condition holds (independence everywhere is still
-    possible), False when some degree is forced to be deficient.
-    """
-    w = Weights(weights)
-    _require_unit_first(w)
-    if len(w) != 3:
-        raise ValueError("expected three weights")
-    b, c = w[1], w[2]
-    if b == 1:
-        return c <= r + 1
-    return c < (r + 1) * b
-
-
 def _proved_from(b: int, c: int) -> int:
-    """Degree from which the thirds inequality is proved: 6c if floor(2c/b) >= 5, else 10c."""
+    """Degree from which the halving inequality is proved: 6c if floor(2c/b) >= 5, else 10c."""
     return 6 * c if (2 * c) // b >= 5 else 10 * c
 
 
@@ -95,10 +64,6 @@ class BoundCheckReport:
     ratio_ok: bool  # floor(2c/b) >= 5, enabling the 6c threshold
     threshold: int  # degree from which the inequality is asserted
     rows: tuple[BoundCheckRow, ...]
-
-    @property
-    def all_asserted_hold(self) -> bool:
-        return all(row.holds for row in self.rows if row.asserted)
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,64 +191,3 @@ def triangle_lattice_check(b: int, c: int, d: int) -> TriangleDecomposition:
     else:
         t4_bound = (c // b - 1) + ((2 * c) // b - 1)
     return TriangleDecomposition(b, c, d, total, t1, t4_interior, t4_bound)
-
-
-def minimal_balanced_degree(b: int, c: int, r: int) -> int:
-    """Smallest d with s_d = 3r in P(1, b, c), assuming rb < c < (r+1)b.
-
-    In that regime the value is (r-1) b + c; the caller can use it as the
-    single degree whose rank decides independence in every degree.
-    """
-    if not (r * b < c < (r + 1) * b):
-        raise ValueError("need rb < c < (r+1)b")
-    return (r - 1) * b + c
-
-
-@dataclass(frozen=True)
-class UniquenessRecord:
-    b: int
-    c: int
-    r: int | None
-    d: int | None
-
-    @property
-    def has_exception(self) -> bool:
-        return self.r is not None
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    c_max: int
-    r_max: int
-    d_max: int
-    records: tuple[UniquenessRecord, ...]
-
-    @property
-    def exception_free(self) -> list[tuple[int, int]]:
-        return [(rec.b, rec.c) for rec in self.records if not rec.has_exception]
-
-
-def classify_plane_123_uniqueness(c_max: int = 8, r_max: int = 8, d_max: int = 48) -> UniquenessReport:
-    """Search every well-formed P(1, b, c) with c <= c_max for deficient doubles.
-
-    For each plane the sufficient exception test is scanned over (d, r) in
-    increasing order, and the first hit is recorded as the plane's witness.
-    exception_sufficient proves the deficiency (the square of a form of
-    degree floor(d/2) through the points survives), so no rank is computed.
-    Planes with no witness in the search box are reported as
-    exception-free; (1, 2, 3) is expected to be the only such plane, in
-    this box and in any larger one.
-    """
-    records = []
-    for b in range(1, c_max + 1):
-        for c in range(b, c_max + 1):
-            if math.gcd(b, c) != 1:
-                continue
-            w = Weights((1, b, c))
-            found = next(
-                ((r, d) for d in range(1, d_max + 1) for r in range(1, r_max + 1)
-                 if exception_sufficient(w, r, d)),
-                (None, None),
-            )
-            records.append(UniquenessRecord(b, c, *found))
-    return UniquenessReport(c_max, r_max, d_max, tuple(records))

@@ -305,28 +305,19 @@ def point_ideal_plane(point: WeightedPoint) -> list[SparsePoly]:
         raise UnsupportedConfigurationError("expected a point of a weighted plane")
     if not w.well_formed:
         raise UnsupportedWeightsError("plane weights must be well formed")
-    a, b, c = w[0], w[1], w[2]
     p0, p1, p2 = point.coords
     zeros = [i for i, x in enumerate(point.coords) if x == 0]
-    if len(zeros) == 2:
-        gens = []
-        for i in zeros:
-            expo = [0, 0, 0]
-            expo[i] = 1
-            gens.append(SparsePoly(w, {tuple(expo): 1}))
-        return gens
+    gens = [SparsePoly(w, {tuple(int(j == i) for j in range(3)): 1}) for i in zeros]
     if len(zeros) == 1:
+        # the other two coordinates are a point of the line P(w minus slot i),
+        # whose weights a well-formed plane makes coprime
         i = zeros[0]
-        var = [0, 0, 0]
-        var[i] = 1
-        if i == 0:
-            binom = {(0, c, 0): p2**b, (0, 0, b): -(p1**c)}
-        elif i == 1:
-            binom = {(c, 0, 0): p2**a, (0, 0, a): -(p0**c)}
-        else:
-            binom = {(b, 0, 0): p1**a, (0, a, 0): -(p0**b)}
-        return [SparsePoly(w, {tuple(var): 1}), SparsePoly(w, binom)]
-    hd = herzog_data(a, b, c)
+        line = WeightedPoint(w.drop(i), point.coords[:i] + point.coords[i + 1:])
+        (binom,) = point_ideal_line(line)
+        gens.append(SparsePoly(w, {e[:i] + (0,) + e[i:]: x for e, x in binom.terms.items()}))
+    if zeros:
+        return gens
+    hd = herzog_data(*w)
     (r1, r2, r3), (k1, k2, k3), (g1, g2, g3) = hd.r, hd.k, hd.g
     return _drop_proportional([
         SparsePoly(w, {(r1, 0, 0): p1**k1 * p2**g1, (0, k1, g1): -(p0**r1)}),

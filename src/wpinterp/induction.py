@@ -497,6 +497,19 @@ def _trace_lines(root: CertificateNode) -> list[str]:
     return subtree(root, 0)
 
 
+def _trace_records(root: CertificateNode) -> list[dict]:
+    """The csv trace: a record per tree node, in pre-order.
+
+    Certificates past MAX_TRACE_NODES tree nodes raise ValueError.
+    """
+    _require_printable([root])
+    return [
+        {"path": path, "kind": node.kind, "d": node.d, "r": node.r,
+         **(node.choice.to_json_dict() if node.choice else {})}
+        for path, _, node in _tree_walk(root)
+    ]
+
+
 def _own_trace_lines(node: CertificateNode) -> list[str]:
     """A node's lines of the text trace, unindented."""
     wit = node.witnesses
@@ -548,11 +561,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
             lambda: _trace_lines(cert)
             + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
             ["path", "kind", "d", "r", "weight", "q", "direction"],
-            lambda: [
-                {"path": path, "kind": node.kind, "d": node.d, "r": node.r,
-                 **(node.choice.to_json_dict() if node.choice else {})}
-                for path, _, node in _tree_walk(cert)
-            ] + [{"path": "check", "direction": verdict}],
+            lambda: _trace_records(cert) + [{"path": "check", "direction": verdict}],
         )
     candidates = terracini_candidates(w, d, r)
     note = "certificate construction is implemented for weights (1, 2, 3) only"

@@ -1,4 +1,4 @@
-"""Exception tests, the thirds inequality, and the triangle decomposition audit."""
+"""The exception test, the halving inequality, and the triangle decomposition audit."""
 
 import dataclasses
 import math
@@ -7,17 +7,15 @@ from fractions import Fraction
 import pytest
 
 from wpinterp import (
+    BoundViolationError,
     FatPointConfig,
     TriangleDecomposition,
     Weights,
-    classify_plane_123_uniqueness,
+    bounds,
     count_monomials,
-    exception_classifier_div3,
     exception_sufficient,
     hilbert_fat_points,
     interpolation_bound_check,
-    minimal_balanced_degree,
-    neck_condition,
     triangle_lattice_check,
 )
 
@@ -56,25 +54,21 @@ def test_exception_sufficient_requires_unit_weight():
 
 
 def test_div3_classifier():
-    assert exception_classifier_div3(P2, 2)
-    assert exception_classifier_div3(P2, 4)
-    assert not exception_classifier_div3(W123, 3)
-    assert not exception_classifier_div3(W123, 9)
-    with pytest.raises(ValueError):
-        exception_classifier_div3(W123, 2)  # s_2 = 2 is not divisible by 3
-    with pytest.raises(ValueError):
-        exception_classifier_div3(Weights((1, 1, 1, 1)), 3)
+    # when 3 | s_d, s_d/3 double points are deficient exactly when the test fires
+    for w, d, deficient in [(P2, 2, True), (P2, 4, True), (W123, 3, False), (W123, 9, False)]:
+        s_d = count_monomials(w, d)
+        assert s_d % 3 == 0
+        assert exception_sufficient(w, s_d // 3, d) == deficient
 
 
 def test_neck_condition():
-    assert neck_condition(W123, 1)
-    assert not neck_condition(Weights((1, 2, 5)), 1)
-    assert neck_condition(Weights((1, 2, 5)), 2)
-    assert neck_condition(Weights((1, 1, 3)), 2)
-    assert not neck_condition(Weights((1, 1, 3)), 1)
+    # where the neck condition fails, one double point is already deficient:
+    # c >= (r + 1) b on (1, 2, 5), and c > r + 1 with b = 1 on (1, 1, 3)
+    assert exception_sufficient(Weights((1, 2, 5)), 1, 4)
+    assert exception_sufficient(Weights((1, 1, 3)), 1, 2)
 
 
-def test_neck_condition_failure_forces_a_deficiency():
+def test_one_double_point_on_125_drops_rank_at_degree_4():
     # (1,2,5) with one double point: degree 4 already drops rank
     cfg = FatPointConfig(Weights((1, 2, 5)), (2,), seed=1, trials=2)
     prof = hilbert_fat_points(cfg, 4)
@@ -90,14 +84,20 @@ def test_bound_check_report_123():
     assert (row.lhs, row.rhs, row.holds, row.asserted) == (30, 27, True, True)
     low = next(r for r in report.rows if r.d == 2)
     assert not low.holds and not low.asserted  # quiet failure below threshold
-    assert report.all_asserted_hold
 
 
 def test_bound_check_ratio_regime():
     report = interpolation_bound_check(1, 3, [18, 20])
     assert report.ratio_ok
     assert report.threshold == 18
-    assert report.all_asserted_hold
+
+
+def test_asserted_failure_raises(monkeypatch):
+    monkeypatch.setattr(bounds, "_proved_from", lambda b, c: 2 * c)
+    message = "floor(s_6/3) = 2 < 3 = s_3 for (1,2,3) at asserted degree 6 >= 6"
+    with pytest.raises(BoundViolationError) as err:
+        interpolation_bound_check(2, 3, range(2, 37))
+    assert str(err.value) == message
 
 
 def test_bound_check_validates_b_and_c():
@@ -234,24 +234,29 @@ def test_triangle_needs_room():
 
 
 def test_minimal_balanced_degree():
-    assert minimal_balanced_degree(2, 5, 2) == 7
-    with pytest.raises(ValueError):
-        minimal_balanced_degree(2, 5, 3)  # 5 < rb already
-
+    # with rb < c < (r+1)b, d0 = (r-1)b + c is the least degree with s_d = 3r
     for b, c, r in [(2, 5, 2), (3, 7, 2), (2, 7, 3), (4, 9, 2), (3, 10, 3)]:
         assert r * b < c < (r + 1) * b
-        d0 = minimal_balanced_degree(b, c, r)
+        d0 = (r - 1) * b + c
         w = Weights((1, b, c))
         assert count_monomials(w, d0) == 3 * r
         assert all(count_monomials(w, d) != 3 * r for d in range(d0))
 
 
 def test_plane_uniqueness_classifier():
-    report = classify_plane_123_uniqueness(c_max=6, r_max=6, d_max=24)
-    assert report.exception_free == [(2, 3)]
-    witnesses = {
-        (rec.b, rec.c): (rec.r, rec.d) for rec in report.records if rec.has_exception
-    }
+    # each coprime P(1, b, c) with c <= 6: the first d <= 24, then r <= 6, that
+    # exception_sufficient proves deficient; (2, 3) is the only plane with none
+    witnesses = {}
+    for b in range(1, 7):
+        for c in range(b, 7):
+            if math.gcd(b, c) == 1:
+                w = Weights((1, b, c))
+                witnesses[(b, c)] = next(
+                    ((r, d) for d in range(1, 25) for r in range(1, 7)
+                     if exception_sufficient(w, r, d)),
+                    None,
+                )
+    assert [plane for plane, hit in witnesses.items() if hit is None] == [(2, 3)]
     assert witnesses[(1, 1)] == (2, 2)
     assert witnesses[(1, 2)] == (3, 4)
     assert witnesses[(2, 5)] == (1, 4)
@@ -259,6 +264,3 @@ def test_plane_uniqueness_classifier():
     assert witnesses[(3, 5)] == (3, 12)
     assert witnesses[(4, 5)] == (2, 10)
     assert witnesses[(5, 6)] == (2, 12)
-    for rec in report.records:
-        if rec.has_exception:
-            assert exception_sufficient(Weights((1, rec.b, rec.c)), rec.r, rec.d)

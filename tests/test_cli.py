@@ -11,6 +11,7 @@ import pytest
 
 from wpinterp import (
     Weights,
+    bounds,
     build_certificate,
     certificate_from_json,
     check_certificate,
@@ -493,6 +494,21 @@ def test_verify_suite_triangle_audit_names_its_first_failure(capsys, monkeypatch
     assert code == 1
     body = [line for line in out.splitlines() if not line.startswith("#")]
     assert body[-1] == "FAIL triangle-decomposition: decomposition audit fails at b=1, c=2, d=5"
+
+
+def test_asserted_failures_print_fail(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_proved_from", lambda b, c: 2 * c)
+    code, out, _ = run(capsys, ["bound-check", "--weights", "1,2,3", "--deg", "0..40"])
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "FAIL: floor(s_6/3) = 2 < 3 = s_3 for (1,2,3) at asserted degree 6 >= 6"
+    )
+    code, out, _ = run(capsys, ["verify-suite", "--max-bc", "3"])
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "FAIL bound-inequality: floor(s_2/3) = 2 < 3 = s_1 for (1,1,1) at asserted degree 2 >= 2",
+        "FAIL triangle-decomposition: decomposition audit fails at b=1, c=1, d=2",
+    ]
 
 
 def test_version_flag(capsys):

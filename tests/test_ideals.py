@@ -264,10 +264,27 @@ def test_point_ideal_plane_vanishing(entries, coords):
         assert not gen.is_zero()
 
 
-def test_point_ideal_two_zero_coordinates():
-    gens = point_ideal(WeightedPoint(W123, (0, 0, 1)))
-    assert len(gens) == 2
-    assert sorted(str(g) for g in gens) == ["u", "z"]
+# Captured before the one-zero binomial was lifted from point_ideal_line.
+ZERO_SLOT_GENERATORS = [
+    ((1, 2, 3), (0, 1, 1), ["z", "u^3 - v^2"]),
+    ((1, 2, 3), (1, 0, 1), ["u", "z^3 - v"]),
+    ((1, 2, 3), (1, 1, 0), ["v", "z^2 - u"]),
+    ((2, 3, 5), (0, 1, 2), ["z", "8*u^5 - v^3"]),
+    ((2, 3, 5), (3, 0, 2), ["u", "4*z^5 - 243*v^2"]),
+    ((2, 3, 5), (3, 2, 0), ["v", "4*z^3 - 27*u^2"]),
+    ((1, 2, 3), (0, 0, 1), ["z", "u"]),
+    ((1, 2, 3), (1, 0, 0), ["u", "v"]),
+]
+
+
+@pytest.mark.parametrize(
+    "weights,coords,expected",
+    ZERO_SLOT_GENERATORS,
+    ids=["".join(map(str, w)) + "-" + "".join(map(str, p)) for w, p, _ in ZERO_SLOT_GENERATORS],
+)
+def test_point_ideal_zero_slot_generators(weights, coords, expected):
+    gens = point_ideal(WeightedPoint(Weights(weights), coords))
+    assert [str(g) for g in gens] == expected
 
 
 def test_point_ideal_hyperplane_case():

@@ -564,6 +564,7 @@ def test_writers_refuse_past_the_printed_tree_budget():
         certificate_to_json,
         lambda c: json_document({"certificate": c}),
         induction._trace_lines,
+        induction._trace_records,
     ):
         with pytest.raises(ValueError, match="prints as 92460133 tree nodes") as err:
             write(cert)
