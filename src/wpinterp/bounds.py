@@ -48,13 +48,22 @@ def _proved_from(b: int, c: int) -> int:
     return 6 * c if (2 * c) // b >= 5 else 10 * c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheckRow:
     d: int
     lhs: int  # floor(s_d / 3)
     rhs: int  # s_{floor(d/2)}
     holds: bool
     asserted: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "holds": self.holds,
+            "asserted": self.asserted,
+        }
 
 
 @dataclass(frozen=True)
@@ -71,16 +80,7 @@ class BoundCheckReport:
             "c": self.c,
             "ratio_ok": self.ratio_ok,
             "threshold": self.threshold,
-            "rows": [
-                {
-                    "d": row.d,
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    "holds": row.holds,
-                    "asserted": row.asserted,
-                }
-                for row in self.rows
-            ],
+            "rows": [row.to_json_dict() for row in self.rows],
         }
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import __version__
 from .bounds import (
@@ -50,7 +52,7 @@ def _parse_weights(text: str) -> Weights:
         raise argparse.ArgumentTypeError(f"bad weights {text!r}: {err}")
 
 
-def _parse_degrees(text: str) -> list[int]:
+def _parse_degrees(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -59,12 +61,11 @@ def _parse_degrees(text: str) -> list[int]:
                 raise ValueError("empty range")
             if hi - lo + 1 > MAX_DEGREE_RANGE:
                 raise ValueError(f"more than {MAX_DEGREE_RANGE} degrees")
-            degrees = list(range(lo, hi + 1))
         else:
-            degrees = [int(text)]
-        if degrees[-1] > MAX_DEGREE:
-            raise ValueError(f"degree {degrees[-1]} above {MAX_DEGREE}")
-        return degrees
+            lo = hi = int(text)
+        if hi > MAX_DEGREE:
+            raise ValueError(f"degree {hi} above {MAX_DEGREE}")
+        return range(lo, hi + 1)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad degree range {text!r}: {err}")
 
@@ -115,16 +116,16 @@ def _meta(args, command: str, weights: Weights | None) -> dict:
     return meta
 
 
-def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    out = [fmt.format(*header).rstrip()]
-    for row in rows:
-        out.append(fmt.format(*row).rstrip())
-    return out
+def _cells(columns, records):
+    """The header, then each record's cells; columns default to the first record's keys."""
+    records = iter(records)
+    if columns is None:
+        first = next(records)
+        columns = list(first)
+        records = chain([first], records)
+    yield columns
+    for rec in records:
+        yield [_cell(rec.get(c, "")) for c in columns]
 
 
 def _csv_cell(cell: str) -> str:
@@ -134,11 +135,19 @@ def _csv_cell(cell: str) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
+    if value is True or value is False:
         return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join(str(x) for x in value)
+    if type(value) is list:
+        return ",".join(map(str, value))
     return str(value)
+
+
+def _joined(lines):
+    """The lines in batches of 1024, each batch one chunk with every line newline-terminated."""
+    lines = iter(lines)
+    while batch := list(islice(lines, 1024)):
+        batch.append("")
+        yield "\n".join(batch)
 
 
 def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
@@ -151,34 +160,34 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
     aligned table when no lines are given.  A format whose own payload is
     None prints the preamble and ``text`` instead, which is how FAIL lines
     reach every format.  Payloads may be zero-argument callables, so only
-    the chosen one is built.  A CertificateNode in ``body`` is written
-    chunk by chunk (see induction.json_chunks), never joined into one string.
+    the chosen one is built.  Records may be any iterable and are written as
+    they come: CSV takes one pass over them, a text table two (the widths,
+    then the lines), so its records must be a callable or a list.  A
+    CertificateNode in ``body`` is written chunk by chunk (see
+    induction.json_chunks), never joined into one string.
     """
     fmt = args.format
     if fmt == "json" and body is not None:
         body = body() if callable(body) else body
         chunks = json_chunks({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body})
+        chunks.append("\n")
     else:
-        lines = [f"# wpinterp {meta['version']}"]
-        lines += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
+        head = [f"# wpinterp {meta['version']}"]
+        head += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
         if text is not None and (fmt != "csv" or records is None):
-            lines += text() if callable(text) else text
+            lines = text() if callable(text) else text
         else:
-            records = records() if callable(records) else records
-            columns = columns or list(records[0])
-            rows = [[_cell(rec.get(c, "")) for c in columns] for rec in records]
+            source = records if callable(records) else lambda: records
             if fmt == "csv":
-                lines.append(",".join(_csv_cell(c) for c in columns))
-                lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+                lines = (",".join(map(_csv_cell, row)) for row in _cells(columns, source()))
             else:
-                lines.extend(_text_table(columns, rows))
-        chunks = ["\n".join(lines)]
-    chunks.append("\n")
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+                # The first pass keeps only the distinct tuples of cell lengths, which are few.
+                lengths = {tuple(map(len, row)) for row in _cells(columns, source())}
+                layout = "  ".join(f"{{:<{max(column)}}}" for column in zip(*lengths))
+                lines = (layout.format(*row).rstrip() for row in _cells(columns, source()))
+        chunks = _joined(chain(head, lines))
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
 def _warn_not_well_formed(weights: Weights):
@@ -194,11 +203,13 @@ def cmd_hilbert(args) -> int:
     w = args.weights
     _warn_not_well_formed(w)
     form = closed_form(w)
-    rows = []
-    for d in args.deg:
-        value = count_monomials(w, d) if form is None else form(d)
-        rows.append({"d": d, "s_d": value, "source": "dp" if form is None else "closed-form"})
-    _render(args, _meta(args, "hilbert", w), {"rows": rows}, records=rows)
+    value = form or (lambda d: count_monomials(w, d))
+    source = "dp" if form is None else "closed-form"
+
+    def rows():
+        return ({"d": d, "s_d": value(d), "source": source} for d in args.deg)
+
+    _render(args, _meta(args, "hilbert", w), lambda: {"rows": list(rows())}, records=rows)
     return 0
 
 
@@ -310,8 +321,8 @@ def cmd_bound_check(args) -> int:
         return 1
     meta["threshold"] = str(report.threshold)
     meta["ratio_ok"] = _cell(report.ratio_ok)
-    body = report.to_json_dict()
-    _render(args, meta, body, records=body["rows"])
+    _render(args, meta, report.to_json_dict,
+            records=lambda: (row.to_json_dict() for row in report.rows))
     return 0
 
 

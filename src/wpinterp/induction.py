@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
@@ -336,7 +337,8 @@ class CertificateNode:
     A built certificate shares the node of a repeated (d, r) subproblem
     between every parent that needs it, so mutating one node changes every
     path through it.  To alter a certificate, edit its JSON and read it back
-    with certificate_from_json, which shares nothing.
+    with certificate_from_json, which shares a node only between copies
+    identical in every field.
     """
 
     kind: str  # "base", "terracini", "chandler-leaf"
@@ -497,17 +499,17 @@ def _trace_lines(root: CertificateNode) -> list[str]:
     return subtree(root, 0)
 
 
-def _trace_records(root: CertificateNode) -> list[dict]:
-    """The csv trace: a record per tree node, in pre-order.
+def _trace_records(root: CertificateNode):
+    """The csv trace: a generator of one record per tree node, in pre-order.
 
-    Certificates past MAX_TRACE_NODES tree nodes raise ValueError.
+    Certificates past MAX_TRACE_NODES tree nodes raise ValueError at the call.
     """
     _require_printable([root])
-    return [
+    return (
         {"path": path, "kind": node.kind, "d": node.d, "r": node.r,
          **(node.choice.to_json_dict() if node.choice else {})}
         for path, _, node in _tree_walk(root)
-    ]
+    )
 
 
 def _own_trace_lines(node: CertificateNode) -> list[str]:
@@ -561,7 +563,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
             lambda: _trace_lines(cert)
             + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
             ["path", "kind", "d", "r", "weight", "q", "direction"],
-            lambda: _trace_records(cert) + [{"path": "check", "direction": verdict}],
+            lambda: chain(_trace_records(cert), [{"path": "check", "direction": verdict}]),
         )
     candidates = terracini_candidates(w, d, r)
     note = "certificate construction is implemented for weights (1, 2, 3) only"
@@ -610,6 +612,11 @@ def certificate_from_json(text: str) -> CertificateNode:
     if schema != _SCHEMA:
         raise CertificateError(f"unknown schema {schema!r}")
 
+    # One node per distinct content, as build_certificate makes.  The key
+    # holds the witnesses by repr, which keeps 1, 1.0 and true apart as the
+    # checker's type tests do, and the children already shared.
+    shared: dict = {}
+
     def node(obj) -> CertificateNode:
         if not (
             _typed(obj, _NODE_TYPES)
@@ -618,16 +625,18 @@ def certificate_from_json(text: str) -> CertificateNode:
             and (obj["choice"] is None or _typed(obj["choice"], _CHOICE_TYPES))
         ):
             raise CertificateError(f"malformed certificate node {obj!r:.80}")
-        choice = obj["choice"]
-        return CertificateNode(
-            kind=obj["kind"],
-            weights=Weights(obj["weights"]),
-            d=obj["d"],
-            r=obj["r"],
-            choice=TerraciniChoice(**choice) if choice is not None else None,
-            witnesses=obj["witnesses"],
-            children=[node(ch) for ch in obj["children"]],
-        )
+        weights = Weights(obj["weights"])
+        choice = TerraciniChoice(**obj["choice"]) if obj["choice"] is not None else None
+        children = [node(ch) for ch in obj["children"]]
+        witnesses = obj["witnesses"]
+        key = (obj["kind"], weights, obj["d"], obj["r"], choice, repr(witnesses),
+               tuple(map(id, children)))
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = CertificateNode(
+                obj["kind"], weights, obj["d"], obj["r"], choice, witnesses, children
+            )
+        return found
 
     return node(data.get("root"))
 

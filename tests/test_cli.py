@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -234,6 +235,61 @@ def test_trace_output_file_matches_stdout(tmp_path, capsys, fmt):
     assert target.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--weights", "3,5,7", "--deg", "0..300"],
+    ["bound-check", "--weights", "1,5,9", "--deg", "0..300"],
+])
+def test_table_output_file_matches_stdout(tmp_path, capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) > 300
+    target = tmp_path / f"table.{fmt}"
+    code, empty, _ = run(capsys, argv + ["--output", str(target)])
+    assert code == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_csv_rows_are_written_before_the_last_record_is_made(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(cli.sys, "stdout", out)
+    written_before_last = []
+
+    def records():
+        for d in range(5000):
+            if d == 4999:
+                written_before_last.append(out.getvalue())
+            yield {"d": d, "s_d": 2 * d}
+
+    args = SimpleNamespace(format="csv", output=None)
+    cli._render(args, {"version": "0.1.0", "command": "hilbert"}, records=records())
+    lines = ["# wpinterp 0.1.0", "# command: hilbert", "d,s_d"]
+    lines += [f"{d},{2 * d}" for d in range(5000)]
+    assert out.getvalue() == "\n".join(lines) + "\n"
+    # rows go out in batches of a fixed size, so all but the last batch is written
+    (early,) = written_before_last
+    assert early.startswith("# wpinterp 0.1.0\n# command: hilbert\nd,s_d\n0,0\n")
+    assert len(early.splitlines()) >= 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ["terracini-trace", "--weights", "1,2,3", "--deg", "50", "--points", "78"],
+    ["bound-check", "--weights", "1,5,9", "--deg", "0..5000"],
+])
+def test_csv_tables_stream_in_bounded_memory(tmp_path, argv):
+    """The csv is written as it is made: 11,950 trace rows or 5,001 bound rows in < 2 MB."""
+    argv = argv + ["--format", "csv", "--output", str(tmp_path / "table.csv")]
+    assert main(argv) == 0  # fills the monomial count tables first
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "table.csv").read_text().splitlines()) > 5000
+    assert peak < 2_000_000
+
+
 def test_repeat_runs_are_identical(capsys):
     argv = ["ah-check", "--weights", "1,2,3", "--deg", "5..9", "--points", "3"]
     _, first, _ = run(capsys, argv)
@@ -273,7 +329,7 @@ def test_degree_above_cap_is_usage_error(capsys, deg):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"above {MAX_DEGREE}" in err
-    assert _parse_degrees(str(MAX_DEGREE)) == [MAX_DEGREE]
+    assert list(_parse_degrees(str(MAX_DEGREE))) == [MAX_DEGREE]
 
 
 def test_degree_cap_below_trial_primes():

@@ -204,6 +204,21 @@ def test_certificate_roundtrip_is_byte_stable():
     assert payload["schema"] == "wpinterp/certificate/v1"
 
 
+def test_certificate_read_back_is_checked_once_per_distinct_node(monkeypatch):
+    built = build_certificate(W123, 50, 78)
+    text = certificate_to_json(built)
+    copy = certificate_from_json(text)
+    assert certificate_to_json(copy) == text
+    assert induction._tree_size(copy) == 11_950
+    checked = []
+    real = induction._check_node
+    monkeypatch.setattr(
+        induction, "_check_node", lambda node, *rest: checked.append(node) or real(node, *rest)
+    )
+    assert check_certificate(copy)
+    assert len(checked) == len(induction._dag(built)) == 95
+
+
 def test_certificate_checker_rejects_tampering():
     cert = build_certificate(W123, 14, 8)
     payload = json.loads(certificate_to_json(cert))
@@ -543,16 +558,23 @@ def test_memoized_writers_match_the_tree_walks(d):
         assert induction._trace_lines(cert) == reference_trace_lines(cert), (d, r)
 
 
+def _unshared(node):
+    """A copy of the certificate with one node object per tree node."""
+    return dataclasses.replace(node, children=[_unshared(child) for child in node.children])
+
+
 def test_memoized_writers_match_on_a_certificate_read_back():
-    # certificate_from_json shares no node objects, so no memo entry is reused
+    # certificate_from_json shares equal copies, as the builder does; the
+    # unshared copy reuses no memo entry
     text = certificate_to_json(build_certificate(W123, 40, _balanced(40)[-1]))
-    tree = certificate_from_json(text)
-    doc = {"schema": "wpinterp/certificate/v1", "root": tree}
-    assert reference_json_document(doc) == text
-    assert certificate_to_json(tree) == text
-    assert induction._trace_lines(tree) == reference_trace_lines(tree)
-    mixed = {"a": [1, {"b": "x\ny"}], "first": tree, "none": None, "last": tree}
-    assert json_document(mixed) == reference_json_document(mixed)
+    for tree in (certificate_from_json(text), _unshared(certificate_from_json(text))):
+        doc = {"schema": "wpinterp/certificate/v1", "root": tree}
+        assert reference_json_document(doc) == text
+        assert certificate_to_json(tree) == text
+        assert induction._trace_lines(tree) == reference_trace_lines(tree)
+        mixed = {"a": [1, {"b": "x\ny"}], "first": tree, "none": None, "last": tree}
+        assert json_document(mixed) == reference_json_document(mixed)
+    assert len(induction._dag(_unshared(tree))) == induction._tree_size(tree)
 
 
 def test_writers_refuse_past_the_printed_tree_budget():
@@ -663,7 +685,8 @@ def test_tampered_shared_node_is_reported_on_every_path():
         "root/children[1]/children[2]/children[2]/children[1]/children[1]: degree 6 != 5",
         "root/children[2]/children[1]/children[1]/children[1]: degree 6 != 5",
     ]
-    # a JSON tree shares nothing: one tampered copy leaves the others sound
+    # the reader shares a node only between copies with equal witnesses, so
+    # one tampered copy leaves the others sound
     payload = json.loads(certificate_to_json(cert))
     next(n for n in _nodes(payload["root"]) if _key("base", 5, 2)(n))["witnesses"]["s_d"] += 1
     failures = []
@@ -677,6 +700,20 @@ def test_tampered_shared_node_is_reported_on_every_path():
     failures = []
     assert not check_certificate(cert, failures)
     assert failures == expected
+
+
+def test_read_back_shares_only_identical_copies():
+    # 1.0 == 1, but the checker refuses a float trial count: a tampered later
+    # copy must stay apart from the sound first copy, not be merged into it
+    payload = json.loads(certificate_to_json(build_certificate(W123, 20, 14)))
+    copies = [node for node in _nodes(payload["root"]) if _key("base", 5, 2)(node)]
+    assert len(copies) == 5 and copies[-1]["witnesses"]["trials"] == 1
+    copies[-1]["witnesses"]["trials"] = 1.0
+    failures = []
+    assert not check_certificate(certificate_from_json(json.dumps(payload)), failures)
+    assert failures == [
+        "root/children[2]/children[1]/children[2]: stored counts disagree with recomputation"
+    ]
 
 
 def _document(root) -> str:
