@@ -75,12 +75,13 @@ class BoundCheckReport:
     rows: tuple[BoundCheckRow, ...]
 
     def to_json_dict(self) -> dict:
+        """The JSON body; its rows are a generator, which json_chunks writes one at a time."""
         return {
             "b": self.b,
             "c": self.c,
             "ratio_ok": self.ratio_ok,
             "threshold": self.threshold,
-            "rows": [row.to_json_dict() for row in self.rows],
+            "rows": (row.to_json_dict() for row in self.rows),
         }
 
 

@@ -163,14 +163,14 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
     the chosen one is built.  Records may be any iterable and are written as
     they come: CSV takes one pass over them, a text table two (the widths,
     then the lines), so its records must be a callable or a list.  A
-    CertificateNode in ``body`` is written chunk by chunk (see
-    induction.json_chunks), never joined into one string.
+    CertificateNode in ``body`` is written chunk by chunk, and a generator of
+    records one record at a time (see induction.json_chunks), never joined.
     """
     fmt = args.format
     if fmt == "json" and body is not None:
         body = body() if callable(body) else body
-        chunks = json_chunks({"schema": f"wpinterp/{meta['command']}/v1", **meta, **body})
-        chunks.append("\n")
+        doc = {"schema": f"wpinterp/{meta['command']}/v1", **meta, **body}
+        chunks = chain(json_chunks(doc), "\n")
     else:
         head = [f"# wpinterp {meta['version']}"]
         head += [f"# {key}: {value}" for key, value in meta.items() if key != "version"]
@@ -209,7 +209,7 @@ def cmd_hilbert(args) -> int:
     def rows():
         return ({"d": d, "s_d": value(d), "source": source} for d in args.deg)
 
-    _render(args, _meta(args, "hilbert", w), lambda: {"rows": list(rows())}, records=rows)
+    _render(args, _meta(args, "hilbert", w), lambda: {"rows": rows()}, records=rows)
     return 0
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from types import GeneratorType
 from typing import NamedTuple
 
 from .grading import UnsupportedWeightsError, Weights, closed_form, count_monomials
@@ -386,31 +387,44 @@ def json_document(doc: dict) -> str:
     return "".join(json_chunks(doc))
 
 
-def json_chunks(doc: dict) -> list[str]:
-    """The text of json_document(doc) as a list of chunks, to join or write in turn.
+def json_chunks(doc: dict):
+    """The text of json_document(doc) as an iterator of chunks, to join or write in turn.
 
     A node is written as its ``to_json_dict()`` would be, byte for byte.
     Each node object's own fields are encoded once and re-indented per
     nesting level, and the chunk list of its subtree is kept per (node,
     level): a revisited shared subtree costs one list extend, not a walk.
     The memo holds references to chunks, never joined subtree text, so its
-    size follows the DAG's chunk count rather than the printed bytes.
-    Certificates past MAX_TRACE_NODES tree nodes raise ValueError.
+    size follows the DAG's chunk count rather than the printed bytes.  A
+    list or generator value is encoded 128 elements at a time and
+    re-indented, so a generator of records is never held whole.
+    Certificates past MAX_TRACE_NODES tree nodes raise ValueError here,
+    before any chunk.
     """
     _require_printable(v for v in doc.values() if isinstance(v, CertificateNode))
-    out = ["{"]
+    return _doc_chunks(doc)
+
+
+def _doc_chunks(doc: dict):
     memo: dict = {}
     owns: dict = {}
+    yield "{"
     sep = "\n  "
     for key, value in doc.items():
-        out.append(f"{sep}{json.dumps(key)}: ")
+        yield f"{sep}{json.dumps(key)}: "
         if isinstance(value, CertificateNode):
-            out += _node_chunks(value, 1, memo, owns)
+            yield from _node_chunks(value, 1, memo, owns)
+        elif isinstance(value, (list, GeneratorType)):
+            items, opener = iter(value), "["
+            while batch := list(islice(items, 128)):
+                # "[\n  a,\n  b\n]" less its brackets, one level deeper
+                yield opener + json.dumps(batch, indent=2)[1:-2].replace("\n", "\n  ")
+                opener = ","
+            yield "[]" if opener == "[" else "\n  ]"
         else:
-            out.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
         sep = ",\n  "
-    out.append("\n}" if doc else "}")
-    return out
+    yield "\n}" if doc else "}"
 
 
 def _node_chunks(node: CertificateNode, level: int, memo: dict, owns: dict) -> list[str]:

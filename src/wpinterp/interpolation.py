@@ -23,7 +23,9 @@ runs.  By the Schwartz-Zippel lemma (Schwartz, JACM 1980) an m x m minor of
 degree-d rows, a nonzero polynomial of degree at most m*d in the
 coordinates, vanishes with probability at most m*d/p: about 5.5e-4 for a
 201 x 200 matrix at d = 46.  At these primes a reduced matrix entry fits
-one 64-bit slot of ``linalg._echelon`` for every m <= 16382.
+one 64-bit slot of ``linalg._echelon`` for every m <= 16382.  Over any
+prime below 2**64 a row is an ``array('Q')`` of residues, 8 bytes an entry;
+over Q or a wider fixed prime it is a list of ints (``_point_rows``).
 
 The exact field samples integer points and takes the rank over Q of their
 matrix (``linalg.group_ranks_exact``: the same mod-p elimination over fixed
@@ -49,8 +51,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -214,7 +218,11 @@ class FatPointConfig:
 
 @dataclass
 class EvaluationMatrix:
-    """Derivative conditions (rows, grouped by point) against the monomial basis."""
+    """Derivative conditions (rows, grouped by point) against the monomial basis.
+
+    Each row is an ``array('Q')`` of residues over a prime below 2**64, and
+    a list of ints over Q or a wider prime (``_point_rows``).
+    """
 
     weights: Weights
     degree: int
@@ -281,7 +289,7 @@ def _derivative_tables(coords, tops, order: int, prime) -> list[list[list]]:
     return tables
 
 
-def _point_rows(columns, tops, coords, ops, low_rows, prime) -> list[list]:
+def _point_rows(columns, tops, coords, ops, low_rows, prime) -> list:
     """All condition rows of one point.
 
     One row per operator of order multiplicity-1; the weighted Euler identity
@@ -297,21 +305,24 @@ def _point_rows(columns, tops, coords, ops, low_rows, prime) -> list[list]:
     row is one C-level product over the columns and one reduction.
     """
     tables = _derivative_tables(coords, tops, sum(ops[0]), prime)  # every op has one order
+    # The row rule: over a prime below 2**64 a row is an array('Q') of
+    # residues, 8 bytes an entry; over Q or a wider prime it is a list of ints.
+    row_of = partial(array, "Q") if prime and prime < 1 << 64 else list
     rows = []
     for op in ops:
         cells = map(tables[0][op[0]].__getitem__, columns[0])
         for j in range(1, len(columns)):
             cells = map(mul, cells, map(tables[j][op[j]].__getitem__, columns[j]))
-        rows.append(list(map(prime.__rmod__, cells)) if prime else list(cells))
+        rows.append(row_of(map(prime.__rmod__, cells) if prime else cells))
     ncols = len(columns[0])
     for col, val in low_rows:
-        row = [0] * ncols
+        row = row_of([0]) * ncols
         row[col] = val
         rows.append(row)
     return rows
 
 
-def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list[list]:
+def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list:
     """Condition rows of each point in turn, against the monomial basis.
 
     The basis is transposed into per-variable exponent columns once, and the

@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks over F_p and Q, determinants, kernels.
 
-Matrices are lists of rows of ints, or over Q of ints and Fractions.
+Matrices are lists of rows: lists of ints, over Q of ints and Fractions,
+or over F_p ``array('Q')`` rows of residues.
 ``_echelon`` is the one elimination loop.  Answers over Q run it mod the
 primes below 2**61 and lift its results by CRT.  A rank over Q counts pivot
 rows, independent mod p and so over Q; every other row is shown dependent
@@ -12,7 +13,8 @@ Davenport 1982).  A determinant is lifted past twice the Hadamard bound.
 from __future__ import annotations
 
 import math
-import struct
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 
@@ -62,16 +64,19 @@ def group_ranks_mod_p(rows, p: int, group_sizes) -> list[int]:
 def _echelon(rows, p: int, group_sizes, npiv: int):
     """Online row echelon over F_p, with pivots sought in the first ``npiv`` columns.
 
-    Returns the rank after each group of rows, each pivot's (column, value
-    before normalizing), and, by row, the slots past ``npiv`` of each row left
-    without a pivot before the rank reached ``npiv``.  Each row is packed into
-    one int, an ``nb``-byte slot per column, so a reduction is one multiply-add.
-    A slot that fits in 64 bits is one word, and a row packs and unpacks in one
-    ``struct`` call; wider slots go through bytes one entry at a time.
+    Returns the rank after each group of rows, each pivot's (column, value),
+    and, by row, the slots past ``npiv`` of each row left without a pivot
+    before the rank reached ``npiv``.  Rows are lists of ints or
+    ``array('Q')`` rows; a row whose entries lie in [0, p) is not reduced
+    again.  Each row is packed into one int, an ``nb``-byte slot per column,
+    so a reduction is one multiply-add.  A slot that fits in 64 bits is one
+    word, and a row packs and unpacks through one ``array('Q')``; wider slots
+    go through bytes one entry at a time.  A pivot row is packed as it is,
+    with c = -1/pivot, and clears a slot s by adding (s * c mod p) times it.
     """
     ncols = len(rows[0]) if rows else 0
     # Slot invariant: a slot starts below p, and each of at most m = min(nrows, npiv)
-    # reductions adds (p - f) * y <= (p - 1)**2, so it stays below (m + 1) * p**2 < 2**bits.
+    # reductions adds f * y <= (p - 1)**2, so it stays below (m + 1) * p**2 < 2**bits.
     # If this ever breaks, to_bytes raises OverflowError once the carry reaches the top slot.
     bits = 2 * p.bit_length() + (min(len(rows), npiv) + 1).bit_length()
     nb = 8 if bits <= 64 else (bits + 7) // 8
@@ -80,15 +85,27 @@ def _echelon(rows, p: int, group_sizes, npiv: int):
     nbytes = nb * ncols
     top = (ncols - 1) * width
     if nb == 8:
-        words = struct.Struct(f">{ncols}Q")
-        pack, unpack = words.pack, words.unpack
-    else:
-        def pack(*vals):
-            return b"".join([x.to_bytes(nb, "big") for x in vals])
+        swap = sys.byteorder == "little"
 
-        def unpack(buf):
+        def pack(vals):
+            words = array("Q", vals)
+            if swap:
+                words.byteswap()
+            return int.from_bytes(words, "big")
+
+        def unpack(w):
+            words = array("Q", w.to_bytes(nbytes, "big"))
+            if swap:
+                words.byteswap()
+            return words
+    else:
+        def pack(vals):
+            return int.from_bytes(b"".join([x.to_bytes(nb, "big") for x in vals]), "big")
+
+        def unpack(w):
+            buf = w.to_bytes(nbytes, "big")
             return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, nbytes, nb)]
-    echelon = []  # (bit offset of the pivot slot, packed normalized row)
+    echelon = []  # (bit offset of the pivot slot, -1/pivot mod p, packed row)
     pivots = []
     dependent = {}
     ranks = []
@@ -96,23 +113,21 @@ def _echelon(rows, p: int, group_sizes, npiv: int):
     for size in group_sizes:
         if len(echelon) < npiv:
             for k, row in enumerate(rows[idx:idx + size], idx):
-                vals = [x % p for x in row]
+                vals = row if min(row) >= 0 and max(row) < p else [x % p for x in row]
                 if echelon:
-                    w = int.from_bytes(pack(*vals), "big")
-                    for shift, packed in echelon:
-                        f = ((w >> shift) & mask) % p
+                    w = pack(vals)
+                    for shift, c, packed in echelon:
+                        f = (w >> shift & mask) * c % p
                         if f:
-                            w += (p - f) * packed
-                    vals = [x % p for x in unpack(w.to_bytes(nbytes, "big"))]
+                            w += f * packed
+                    vals = [x % p for x in unpack(w)]
                 for pc, x in zip(range(npiv), vals):
                     if x:
-                        inv = pow(x, -1, p)
-                        packed = int.from_bytes(pack(*[y * inv % p for y in vals]), "big")
-                        echelon.append((top - pc * width, packed))
+                        echelon.append((top - pc * width, p - pow(x, -1, p), pack(vals)))
                         pivots.append((pc, x))
                         break
                 else:
-                    dependent[k] = vals[npiv:]
+                    dependent[k] = list(vals[npiv:])
                 if len(echelon) == npiv:
                     break
         idx += size

@@ -290,6 +290,25 @@ def test_csv_tables_stream_in_bounded_memory(tmp_path, argv):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["bound-check", "--weights", "1,5,9", "--deg", "0..5000"], 2_000_000),
+    (["hilbert", "--weights", "3,5,7", "--deg", "0..5000"], 1_000_000),
+])
+def test_json_tables_stream_in_bounded_memory(tmp_path, argv, bound):
+    """JSON records are encoded and written in small batches, so 5,001 rows stay under the bound."""
+    out = tmp_path / "table.json"
+    argv = argv + ["--format", "json", "--output", str(out)]
+    assert main(argv) == 0  # fills the monomial count tables first
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(out.read_text())["rows"]) == 5001
+    assert peak < bound
+
+
 def test_repeat_runs_are_identical(capsys):
     argv = ["ah-check", "--weights", "1,2,3", "--deg", "5..9", "--points", "3"]
     _, first, _ = run(capsys, argv)

@@ -477,6 +477,11 @@ def test_json_document_places_nodes_anywhere():
     assert json_document(doc) == json.dumps(plain, indent=2)
     assert json_document({}) == json.dumps({}, indent=2)
     assert json_document(head) == json.dumps(head, indent=2)
+    # a generator value is written in batches, with the bytes of its list
+    records = [{"d": d, "s_d": [d, {"x": None}]} for d in range(3)]
+    assert json_document({"rows": (r for r in records), "none": []}) == \
+        json.dumps({"rows": records, "none": []}, indent=2)
+    assert json_document({"rows": (r for r in [])}) == json.dumps({"rows": []}, indent=2)
 
 
 def reference_json_document(doc: dict) -> str:

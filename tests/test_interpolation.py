@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 
@@ -186,7 +188,35 @@ def test_row_builder_matches_per_cell_reference(case):
     w = Weights(entries)
     basis = enumerate_monomials(w, degree)
     want = reference_matrix_rows(w, degree, points, mults, prime)
-    assert _matrix_rows(w, basis, points, mults, prime) == want
+    assert [list(r) for r in _matrix_rows(w, basis, points, mults, prime)] == want
+
+
+@pytest.mark.parametrize("prime, word_rows", [
+    (linalg._prime_below(PRIME_HIGH), True),
+    ((1 << 61) - 1, True),
+    (None, False),
+    (linalg._prime_below(linalg._MR_EXACT_BELOW), False),
+])
+def test_rows_are_word_arrays_below_2_to_the_64(prime, word_rows):
+    # two triple points: six operator rows each, and an extra row for z
+    basis = enumerate_monomials(W123, 3)
+    rows = _matrix_rows(W123, basis, [(1, 2, 3), (1, 5, 7)], (3, 3), prime)
+    assert len(rows) == 2 * (6 + 1)
+    assert {type(r) for r in rows} == {array if word_rows else list}
+    assert all(r.typecode == "Q" for r in rows if word_rows)
+
+
+def test_scan_peak_is_set_by_word_rows():
+    """The d = 46 scan ranks a 201 x 200 matrix of 8-byte residues, not boxed ints."""
+    ah_profile_scan(W123, 46, 67, seed=1)  # fills the monomial count tables first
+    tracemalloc.start()
+    try:
+        profiles = ah_profile_scan(W123, 46, 67, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(prof.is_AH for prof in profiles)
+    assert peak < 800_000
 
 
 GROUP_SIZES_123 = {0: [7, 4, 4, 1], 1: [7, 3, 3, 1], 2: [7, 3, 3, 1], 12: [6, 3, 3, 1]}

@@ -2,10 +2,9 @@
 
 import math
 import random
-import struct
+from array import array
 from fractions import Fraction
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -260,13 +259,13 @@ def test_slot_width_picks_the_packing(monkeypatch, nrows, one_word):
     # rows, one word, and 65 for m = 3, packed byte by byte.
     p = (1 << 31) - 1
     assert (2 * p.bit_length() + (nrows + 1).bit_length() <= 64) == one_word
-    structs = []
+    typecodes = []
 
-    def spy(fmt):
-        structs.append(fmt)
-        return struct.Struct(fmt)
+    def spy(typecode, *args):
+        typecodes.append(typecode)
+        return array(typecode, *args)
 
-    monkeypatch.setattr(linalg, "struct", SimpleNamespace(Struct=spy))
+    monkeypatch.setattr(linalg, "array", spy)
     rng = random.Random(nrows)
     for rows in ([[p - 1] * 5 for _ in range(nrows)],
                  [[p - 1] * 5] + [[rng.choice((p - 1, rng.randrange(p))) for _ in range(5)]
@@ -274,7 +273,32 @@ def test_slot_width_picks_the_packing(monkeypatch, nrows, one_word):
         got = group_ranks_mod_p(rows, p, [1] * nrows)
         assert got == list_group_ranks_mod_p(rows, p, [1] * nrows)
         assert got[-1] == sympy_rank(rows, p)
-    assert structs == ([">5Q"] * 2 if one_word else [])
+    assert set(typecodes) == ({"Q"} if one_word else set())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([(1 << 31) - 1, TRIAL_PRIME, BIG_PRIME]),
+    ncols=st.integers(1, 6),
+    data=st.data(),
+)
+def test_echelon_takes_every_row_form(p, ncols, data):
+    # Lists, array('Q') residue rows and unreduced rows are the same matrix,
+    # in one-word slots (up to 2 rows at 2**31 - 1, the trial prime) and wide ones.
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    npiv = data.draw(st.integers(0, ncols))
+    entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=sum(sizes), max_size=sum(sizes)))
+    lift = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    lifts = data.draw(st.lists(lift, min_size=len(rows), max_size=len(rows)))
+    unreduced = [[x + k * p for x, k in zip(r, ks)] for r, ks in zip(rows, lifts)]
+    want = linalg._echelon(rows, p, sizes, npiv)
+    assert linalg._echelon([array("Q", r) for r in rows], p, sizes, npiv) == want
+    assert linalg._echelon(unreduced, p, sizes, npiv) == want
+    assert linalg._echelon([[x or p for x in r] for r in rows], p, sizes, npiv) == want
+    if npiv == ncols:
+        assert want[0] == list_group_ranks_mod_p(rows, p, sizes)
 
 
 def test_trial_primes_fit_one_word_slot():
