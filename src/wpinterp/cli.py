@@ -31,7 +31,6 @@ from .ideals import (
     point_ideal,
 )
 from .induction import (
-    MAX_TRACE_NODES,
     json_chunks,
     numeric_facts_verify,
     teranum_verify,
@@ -159,16 +158,16 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
     cell empty.  Text prints the preamble and the ``text`` lines, or the
     aligned table when no lines are given.  A format whose own payload is
     None prints the preamble and ``text`` instead, which is how FAIL lines
-    reach every format.  Payloads may be zero-argument callables, so only
-    the chosen one is built.  Records may be any iterable and are written as
-    they come: CSV takes one pass over them, a text table two (the widths,
-    then the lines), so its records must be a callable or a list.  A
-    CertificateNode in ``body`` is written chunk by chunk, and a generator of
-    records one record at a time (see induction.json_chunks), never joined.
+    reach every format.  ``text`` and ``records`` may be zero-argument
+    callables, so only the chosen one is built.  Records may be any iterable
+    and are written as they come: CSV takes one pass over them, a text table
+    two (the widths, then the lines), so its records must be a callable or a
+    list.  A CertificateNode in ``body`` is written chunk by chunk, and a
+    generator of records one record at a time (see induction.json_chunks),
+    never joined.  An ``--output`` that cannot be opened is a ValueError.
     """
     fmt = args.format
     if fmt == "json" and body is not None:
-        body = body() if callable(body) else body
         doc = {"schema": f"wpinterp/{meta['command']}/v1", **meta, **body}
         chunks = chain(json_chunks(doc), "\n")
     else:
@@ -186,7 +185,11 @@ def _render(args, meta: dict, body=None, columns=None, records=None, text=None):
                 layout = "  ".join(f"{{:<{max(column)}}}" for column in zip(*lengths))
                 lines = (layout.format(*row).rstrip() for row in _cells(columns, source()))
         chunks = _joined(chain(head, lines))
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+    try:
+        out = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    except OSError as err:
+        raise ValueError(f"cannot open --output {args.output}: {err.strerror}") from None
+    with out as fh:
         fh.writelines(chunks)
 
 
@@ -209,7 +212,7 @@ def cmd_hilbert(args) -> int:
     def rows():
         return ({"d": d, "s_d": value(d), "source": source} for d in args.deg)
 
-    _render(args, _meta(args, "hilbert", w), lambda: {"rows": rows()}, records=rows)
+    _render(args, _meta(args, "hilbert", w), {"rows": rows()}, records=rows)
     return 0
 
 
@@ -248,12 +251,6 @@ def cmd_terracini_trace(args) -> int:
         )
     meta = _meta(args, "terracini-trace", w)
     report = terracini_trace(w, args.deg[0], args.points, seed=args.seed, trials=args.trials)
-    if report.tree_nodes > MAX_TRACE_NODES:
-        raise argparse.ArgumentTypeError(
-            f"the certificate prints as {report.tree_nodes} tree nodes, more than"
-            f" {MAX_TRACE_NODES}; build and check it through the library (build_certificate"
-            " and check_certificate) instead"
-        )
     _render(args, meta, report.body, report.columns, report.records, report.text)
     return 0 if report.ok else 1
 
@@ -321,7 +318,7 @@ def cmd_bound_check(args) -> int:
         return 1
     meta["threshold"] = str(report.threshold)
     meta["ratio_ok"] = _cell(report.ratio_ok)
-    _render(args, meta, report.to_json_dict,
+    _render(args, meta, report.to_json_dict(),
             records=lambda: (row.to_json_dict() for row in report.rows))
     return 0
 

@@ -551,8 +551,7 @@ class TraceReport(NamedTuple):
     """terracini-trace's outcome, and payloads as cli._render takes them."""
 
     ok: bool
-    tree_nodes: int  # of the certificate printed as a tree, 0 without one
-    body: object
+    body: dict
     text: object
     columns: list | None = None
     records: object = None
@@ -566,14 +565,13 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
             cert = build_certificate(w, d, r, seed=seed, trials=trials)
         except CertificateError as err:
             body = {"d": d, "r": r, "ok": False, "error": str(err)}
-            return TraceReport(False, 0, body, [f"FAIL d={d} r={r}: {err}"])
+            return TraceReport(False, body, [f"FAIL d={d} r={r}: {err}"])
         failures: list[str] = []
         ok = check_certificate(cert, failures)
         verdict = "accepted" if ok else "rejected"
         return TraceReport(
             ok,
-            _tree_size(cert),
-            lambda: {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
+            {"d": d, "r": r, "ok": ok, "failures": failures, "certificate": cert},
             lambda: _trace_lines(cert)
             + ["checker: " + (verdict if ok else "rejected: " + "; ".join(failures))],
             ["path", "kind", "d", "r", "weight", "q", "direction"],
@@ -583,7 +581,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
     note = "certificate construction is implemented for weights (1, 2, 3) only"
     body = {"d": d, "r": r, "candidates": [c.to_json_dict() for c in candidates], "note": note}
     if not candidates:
-        return TraceReport(False, 0, body, [f"FAIL d={d} r={r}: no specialization candidate"])
+        return TraceReport(False, body, [f"FAIL d={d} r={r}: no specialization candidate"])
     records, text = [], [f"candidates for d={d}, r={r}:"]
     for c in candidates:
         trace_ok = chandler_inequality(w, d, c.weight, c.q, r).ok
@@ -594,7 +592,7 @@ def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceRe
             f" premises at d={t1} and d={t2} with {m} points;"
             f" trace criterion {'ok' if trace_ok else 'fails'}"
         )
-    return TraceReport(True, 0, body, text + [note], records=records)
+    return TraceReport(True, body, text + [note], records=records)
 
 
 def certificate_to_json(cert: CertificateNode) -> str:
@@ -689,11 +687,10 @@ def _valid_reduction(required: int, certified: int, s_t: int) -> bool:
 
 def _base_witnesses(w: Weights, d: int, r: int, seed: str, trials: int) -> dict:
     """A base node's witnesses: the rank of r double points sampled from ``seed``."""
-    s_d = count_monomials(w, d)
     prof = hilbert_fat_points(FatPointConfig(w, (2,) * r, seed=seed, trials=trials), d)
     return {
-        "s_d": s_d,
-        "expected": min(s_d, 3 * r),
+        "s_d": prof.s_d,
+        "expected": prof.expected,
         "actual": prof.actual,
         "trials": prof.trials,
         "seed": seed,

@@ -220,15 +220,15 @@ class FatPointConfig:
 class EvaluationMatrix:
     """Derivative conditions (rows, grouped by point) against the monomial basis.
 
-    Each row is an ``array('Q')`` of residues over a prime below 2**64, and
-    a list of ints over Q or a wider prime (``_point_rows``).
+    ``sizes`` holds each point's row count as the row builder made its block
+    (``_matrix_rows``): its operator rows, then its extra low rows.  Each row
+    is an ``array('Q')`` of residues over a prime below 2**64, and a list of
+    ints over Q or a wider prime (``_point_rows``).
     """
 
-    weights: Weights
-    degree: int
     basis: list
     rows: list
-    multiplicities: tuple[int, ...]
+    sizes: list[int]
     prime: int | None
     points: list
 
@@ -241,27 +241,19 @@ class EvaluationMatrix:
         return len(self.basis)
 
     def group_sizes(self) -> list[int]:
-        n = self.weights.n
-        sizes = {
-            m: conditions_of_multiplicity(m, n) + len(_low_columns(self.basis, m))
-            for m in set(self.multiplicities)
-        }
-        return [sizes[m] for m in self.multiplicities]
-
-    def rank(self) -> int:
-        """Rank of all rows: the one checkpoint of a single group."""
-        return self._checkpoints([self.nrows])[-1]
+        return self.sizes
 
     def group_ranks(self) -> list[int]:
         """Rank after each point's block of rows, one elimination pass."""
-        return self._checkpoints(self.group_sizes())
-
-    def _checkpoints(self, sizes) -> list[int]:
         if not self.basis:
-            return [0] * len(sizes)
+            return [0] * len(self.sizes)
         if self.prime is not None:
-            return group_ranks_mod_p(self.rows, self.prime, sizes)
-        return group_ranks_exact(self.rows, sizes)
+            return group_ranks_mod_p(self.rows, self.prime, self.sizes)
+        return group_ranks_exact(self.rows, self.sizes)
+
+    def rank(self) -> int:
+        """Rank of all rows: the last checkpoint of ``group_ranks``, 0 with no points."""
+        return self.group_ranks()[-1] if self.sizes else 0
 
 
 def _low_columns(basis, multiplicity: int) -> list[int]:
@@ -322,8 +314,8 @@ def _point_rows(columns, tops, coords, ops, low_rows, prime) -> list:
     return rows
 
 
-def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list:
-    """Condition rows of each point in turn, against the monomial basis.
+def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list[list]:
+    """Each point's block of condition rows, in point order, against the monomial basis.
 
     The basis is transposed into per-variable exponent columns once, and the
     operators and extra rows are found once per distinct multiplicity.
@@ -338,10 +330,8 @@ def _matrix_rows(weights: Weights, basis, points, multiplicities, prime) -> list
             val = math.prod(map(math.factorial, basis[col]))
             low_rows.append((col, val % prime if prime else val))
         per_mult[m] = derivative_operators(nvars, m - 1), low_rows
-    rows = []
-    for coords, m in zip(points, multiplicities):
-        rows.extend(_point_rows(columns, tops, coords, *per_mult[m], prime))
-    return rows
+    return [_point_rows(columns, tops, coords, *per_mult[m], prime)
+            for coords, m in zip(points, multiplicities)]
 
 
 def _reduce_coords(coords, prime):
@@ -364,10 +354,11 @@ def _trial_points(cfg: FatPointConfig, degree: int, trial: int):
     return prime, [_reduce_coords(p.coords, prime) for p in cfg.points]
 
 
-def _evaluation_matrix(cfg: FatPointConfig, degree: int, basis, prime, coords) -> EvaluationMatrix:
+def _evaluation_matrix(cfg: FatPointConfig, basis, prime, coords) -> EvaluationMatrix:
     """The matrix of one trial's points against ``basis``, the whole degree's or a column subset."""
-    rows = _matrix_rows(cfg.weights, basis, coords, cfg.multiplicities, prime)
-    return EvaluationMatrix(cfg.weights, degree, basis, rows, cfg.multiplicities, prime, coords)
+    blocks = _matrix_rows(cfg.weights, basis, coords, cfg.multiplicities, prime)
+    rows = [row for block in blocks for row in block]
+    return EvaluationMatrix(basis, rows, [len(block) for block in blocks], prime, coords)
 
 
 def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) -> EvaluationMatrix:
@@ -380,7 +371,7 @@ def build_evaluation_matrix(cfg: FatPointConfig, degree: int, trial: int = 0) ->
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     basis = enumerate_monomials(cfg.weights, degree)
-    return _evaluation_matrix(cfg, degree, basis, *_trial_points(cfg, degree, trial))
+    return _evaluation_matrix(cfg, basis, *_trial_points(cfg, degree, trial))
 
 
 @dataclass(frozen=True)
@@ -393,9 +384,15 @@ class RankProfile:
     s_d: int
     expected: int
     actual: int
-    deficiency: int
-    is_AH: bool
     trials: int
+
+    @property
+    def deficiency(self) -> int:
+        return self.expected - self.actual
+
+    @property
+    def is_AH(self) -> bool:
+        return self.actual == self.expected
 
     def to_json_dict(self) -> dict:
         return {
@@ -411,20 +408,6 @@ class RankProfile:
         }
 
 
-def _profile(weights, r, degree, s_d, expected, actual, trials) -> RankProfile:
-    return RankProfile(
-        weights=weights,
-        r=r,
-        degree=degree,
-        s_d=s_d,
-        expected=expected,
-        actual=actual,
-        deficiency=expected - actual,
-        is_AH=actual == expected,
-        trials=trials,
-    )
-
-
 def _subset_columns(basis, multiplicity: int, size: int, rng: random.Random) -> list[int]:
     """Every low column of the multiplicity and random others, ``size`` columns at least.
 
@@ -438,10 +421,12 @@ def _subset_columns(basis, multiplicity: int, size: int, rng: random.Random) -> 
 def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list[RankProfile]:
     """Profiles of the first k points for k = 1..r (per_point) or k = r alone.
 
-    Each trial builds one evaluation matrix and ranks it with one checkpoint
-    per profile, so the exact field proves one rank unless per_point asks
-    for r.  Ranks are maximized over the trials until every checkpoint
-    reaches its expected value; explicit points are one trial.  Degree zero
+    Each trial builds one evaluation matrix and ranks it in one elimination
+    pass with a checkpoint after each point's rows (``group_ranks``):
+    per_point keeps every checkpoint, the whole configuration only the last.
+    The checkpoints cost no elimination of their own, in either field.
+    Ranks are maximized over the trials until every checkpoint reaches its
+    expected value; explicit points are one trial.  Degree zero
     reports the expected value and a degree with no monomials (every
     negative one) or no points reports 0, with no matrix and 0 trials.
     Wide degrees try a column subset first (module docstring), its random
@@ -457,8 +442,8 @@ def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list
     expect = [min(s_d, c) for c in conditions]
 
     def ranks(basis, prime, coords) -> list[int]:
-        mat = _evaluation_matrix(cfg, degree, basis, prime, coords)
-        return mat.group_ranks() if per_point else [mat.rank()]
+        checkpoints = _evaluation_matrix(cfg, basis, prime, coords).group_ranks()
+        return checkpoints if per_point else checkpoints[-1:]
 
     if degree == 0 or not any(expect):
         best, used = expect, 0
@@ -481,7 +466,7 @@ def _sampled_profiles(cfg: FatPointConfig, degree: int, per_point: bool) -> list
             best = [max(b, x) for b, x in zip(best, ranks(basis, prime, coords))]
             if all(b >= e for b, e in zip(best, expect)):
                 break
-    return [_profile(w, r, degree, s_d, e, b, used) for r, e, b in zip(counts, expect, best)]
+    return [RankProfile(w, r, degree, s_d, e, b, used) for r, e, b in zip(counts, expect, best)]
 
 
 def hilbert_fat_points(cfg: FatPointConfig, degree: int) -> RankProfile:

@@ -52,7 +52,7 @@ def veronese_image(chart: VeroneseChart, coords):
     """Coordinates of the image point, in basis order."""
     if len(coords) != len(chart.weights):
         raise ValueError("coordinate length does not match the weights")
-    vals = _matrix_rows(chart.weights, chart.basis, [coords], (1,), None)[0]
+    vals = _matrix_rows(chart.weights, chart.basis, [coords], (1,), None)[0][0]
     if not any(vals):
         raise OutsideDomainError("all basis monomials vanish at the point")
     return vals
@@ -62,7 +62,7 @@ def tangent_jacobian(chart: VeroneseChart, coords, prime=None):
     """Rows j = 0..n of first partials of the basis monomials at the point."""
     if len(coords) != len(chart.weights):
         raise ValueError("coordinate length does not match the weights")
-    return _matrix_rows(chart.weights, chart.basis, [coords], (2,), prime)
+    return _matrix_rows(chart.weights, chart.basis, [coords], (2,), prime)[0]
 
 
 @dataclass(frozen=True)

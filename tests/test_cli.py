@@ -22,11 +22,10 @@ from wpinterp import (
 from wpinterp.cli import (
     MAX_DEGREE,
     MAX_DEGREE_RANGE,
-    MAX_TRACE_NODES,
     _parse_degrees,
     main,
 )
-from wpinterp.induction import _tree_size
+from wpinterp.induction import MAX_TRACE_NODES, _tree_size
 from wpinterp.interpolation import PRIME_LOW
 from wpinterp.linalg import _MR_EXACT_BELOW, _prime_below
 
@@ -357,15 +356,28 @@ def test_degree_cap_below_trial_primes():
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_trace_too_large_to_print_is_usage_error(capsys, fmt):
-    with pytest.raises(SystemExit) as exc:
-        main(["terracini-trace", "--weights", "1,2,3", "--deg", "200", "--points", "1137",
-              "--format", fmt])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+def test_trace_too_large_to_print_is_usage_error(capsys, tmp_path, fmt):
+    argv = ["terracini-trace", "--weights", "1,2,3", "--deg", "200", "--points", "1137",
+            "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 2
     assert out == ""
     assert f"more than {MAX_TRACE_NODES}" in err
     assert "build_certificate" in err and "check_certificate" in err
+    target = tmp_path / f"trace.{fmt}"
+    assert run(capsys, argv + ["--output", str(target)]) == (code, out, err)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_output_that_cannot_be_opened_is_usage_error(capsys, tmp_path, missing):
+    # a path under a missing directory, or a directory itself
+    target = tmp_path / "missing" / "x.csv" if missing else tmp_path
+    argv = ["hilbert", "--weights", "1,2,3", "--deg", "0..3", "--output", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
 
 
 def test_trace_budget_admits_degree_70_and_rejects_80():

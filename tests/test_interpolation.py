@@ -188,7 +188,8 @@ def test_row_builder_matches_per_cell_reference(case):
     w = Weights(entries)
     basis = enumerate_monomials(w, degree)
     want = reference_matrix_rows(w, degree, points, mults, prime)
-    assert [list(r) for r in _matrix_rows(w, basis, points, mults, prime)] == want
+    blocks = _matrix_rows(w, basis, points, mults, prime)
+    assert [list(r) for block in blocks for r in block] == want
 
 
 @pytest.mark.parametrize("prime, word_rows", [
@@ -200,7 +201,8 @@ def test_row_builder_matches_per_cell_reference(case):
 def test_rows_are_word_arrays_below_2_to_the_64(prime, word_rows):
     # two triple points: six operator rows each, and an extra row for z
     basis = enumerate_monomials(W123, 3)
-    rows = _matrix_rows(W123, basis, [(1, 2, 3), (1, 5, 7)], (3, 3), prime)
+    rows = [r for block in _matrix_rows(W123, basis, [(1, 2, 3), (1, 5, 7)], (3, 3), prime)
+            for r in block]
     assert len(rows) == 2 * (6 + 1)
     assert {type(r) for r in rows} == {array if word_rows else list}
     assert all(r.typecode == "Q" for r in rows if word_rows)
@@ -487,9 +489,9 @@ def record_column_counts(monkeypatch):
     counts = []
     build = interpolation._evaluation_matrix
 
-    def recording(cfg, degree, basis, prime, coords):
+    def recording(cfg, basis, prime, coords):
         counts.append(len(basis))
-        return build(cfg, degree, basis, prime, coords)
+        return build(cfg, basis, prime, coords)
 
     monkeypatch.setattr(interpolation, "_evaluation_matrix", recording)
     return counts
@@ -547,6 +549,42 @@ def test_exact_group_ranks_are_prefix_ranks():
             want.append(rank_exact(mat.rows[:cut]))
         assert mat.group_ranks() == want
         assert want[-1] == mat.rank()
+
+
+RANK_FIELDS = [None, (1 << 64) + 13, "exact"]  # trial primes, wide slots over lists, Q
+
+
+@st.composite
+def rank_cases(draw):
+    """1-4 weights up to 5, 0-4 points of multiplicity 1-4, degree 0-12, a field and a seed."""
+    weights = Weights(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    mults = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    degree = draw(st.integers(0, 12))
+    return weights, mults, degree, draw(st.sampled_from(RANK_FIELDS)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=90, deadline=None)
+@given(case=rank_cases())
+@example(case=(W123, (), 4, None, 0))
+@example(case=(Weights((2, 3)), (3, 1), 1, "exact", 0))  # no monomials
+@example(case=(Weights((1, 1, 1)), (4, 4, 4, 4), 8, (1 << 64) + 13, 0))
+def test_rank_is_the_last_point_checkpoint(case):
+    # rank() reads group_ranks(); both must equal the kernel's one-group rank
+    weights, mults, degree, field, seed = case
+    mat = build_evaluation_matrix(FatPointConfig(weights, mults, field=field, seed=seed), degree)
+    assert sum(mat.group_sizes()) == mat.nrows
+    rank = mat.rank()
+    assert rank == (mat.group_ranks()[-1] if mults else 0)
+    if mat.prime is None:
+        assert rank == rank_exact(mat.rows)
+    else:
+        assert rank == linalg.group_ranks_mod_p(mat.rows, mat.prime, [mat.nrows])[-1]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS)
+def test_rank_without_points_is_zero(field):
+    mat = build_evaluation_matrix(FatPointConfig(W123, (), field=field), 4)
+    assert (mat.rows, mat.group_sizes(), mat.group_ranks(), mat.rank()) == ([], [], [], 0)
 
 
 @pytest.mark.parametrize(
