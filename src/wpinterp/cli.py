@@ -51,6 +51,12 @@ def _parse_weights(text: str) -> Weights:
         raise argparse.ArgumentTypeError(f"bad weights {text!r}: {err}")
 
 
+def _parse_typed_weights(text: str) -> tuple[int, ...]:
+    """The --weights entries in the order typed, checked as _parse_weights checks them."""
+    _parse_weights(text)
+    return tuple(int(part) for part in text.split(","))
+
+
 def _parse_degrees(text: str) -> range:
     try:
         if ".." in text:
@@ -86,14 +92,6 @@ def _parse_mults(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad multiplicities {text!r}: {err}")
 
 
-def _field_of(args):
-    if getattr(args, "exact", False):
-        return "exact"
-    if getattr(args, "prime", None) is not None:
-        return args.prime
-    return None
-
-
 def _field_label(field) -> str:
     if field == "exact":
         return "exact"
@@ -102,16 +100,16 @@ def _field_label(field) -> str:
     return f"prime:{field}"
 
 
-def _meta(args, command: str, weights: Weights | None) -> dict:
-    meta = {"version": __version__, "command": command}
-    if weights is not None:
-        meta["weights"] = ",".join(str(a) for a in weights)
+def _meta(args) -> dict:
+    meta = {"version": __version__, "command": args.command}
+    if hasattr(args, "weights"):
+        meta["weights"] = ",".join(str(a) for a in args.weights)
     if hasattr(args, "seed"):
         meta["seed"] = str(args.seed)
     if hasattr(args, "trials"):
         meta["trials"] = str(args.trials)
-    if hasattr(args, "exact") or hasattr(args, "prime"):
-        meta["field"] = _field_label(_field_of(args))
+    if hasattr(args, "field"):
+        meta["field"] = _field_label(args.field)
     return meta
 
 
@@ -212,7 +210,7 @@ def cmd_hilbert(args) -> int:
     def rows():
         return ({"d": d, "s_d": value(d), "source": source} for d in args.deg)
 
-    _render(args, _meta(args, "hilbert", w), {"rows": rows()}, records=rows)
+    _render(args, _meta(args), {"rows": rows()}, records=rows)
     return 0
 
 
@@ -230,10 +228,10 @@ def cmd_ah_check(args) -> int:
             raise argparse.ArgumentTypeError("need --points or a --mult list")
         m = args.mult[0] if args.mult else 2
         mults = (m,) * args.points
-    cfg = FatPointConfig(w, mults, field=_field_of(args), seed=args.seed, trials=args.trials)
+    cfg = FatPointConfig(w, mults, field=args.field, seed=args.seed, trials=args.trials)
     rows = [p.to_json_dict() for p in deficiency_table(cfg, args.deg)]
     body = {"multiplicities": list(mults), "rows": rows}
-    _render(args, _meta(args, "ah-check", w), body, records=rows)
+    _render(args, _meta(args), body, records=rows)
     return 0
 
 
@@ -244,21 +242,20 @@ def cmd_terracini_trace(args) -> int:
         raise argparse.ArgumentTypeError("terracini-trace takes a single degree")
     if args.points < 0:
         raise argparse.ArgumentTypeError("--points must be nonnegative")
-    if _field_of(args) is not None:
+    if args.field is not None:
         raise argparse.ArgumentTypeError(
             "terracini-trace samples its base ranks over random primes; --prime and --exact"
             " are not supported"
         )
-    meta = _meta(args, "terracini-trace", w)
+    meta = _meta(args)
     report = terracini_trace(w, args.deg[0], args.points, seed=args.seed, trials=args.trials)
     _render(args, meta, report.body, report.columns, report.records, report.text)
     return 0 if report.ok else 1
 
 
 def cmd_point_ideal(args) -> int:
-    w = args.weights
-    _warn_not_well_formed(w)
-    point = WeightedPoint(w, args.point)
+    _warn_not_well_formed(Weights(args.weights))
+    point = WeightedPoint(args.weights, args.point)
     gens = point_ideal(point)
     body = {
         "point": [str(c) for c in point.coords],
@@ -267,7 +264,7 @@ def cmd_point_ideal(args) -> int:
     records = [{"index": i, "degree": g.degree(), "generator": str(g)} for i, g in enumerate(gens)]
     text = [f"point: {point!r}", f"generators ({len(gens)}):"]
     text.extend(f"  {g}   (degree {g.degree()})" for g in gens)
-    _render(args, _meta(args, "point-ideal", w), body, records=records, text=text)
+    _render(args, _meta(args), body, records=records, text=text)
     return 0
 
 
@@ -289,7 +286,7 @@ def cmd_herzog(args) -> int:
         f"  {data.r[1]}*{b} = {data.k[1]}*{a} + {data.g[1]}*{c}",
         f"  {data.r[2]}*{c} = {data.k[2]}*{a} + {data.g[2]}*{b}",
     ]
-    _render(args, _meta(args, "herzog", w), data.to_json_dict(), records=[record], text=text)
+    _render(args, _meta(args), data.to_json_dict(), records=[record], text=text)
     return 0
 
 
@@ -299,10 +296,10 @@ def cmd_secant_dim(args) -> int:
     if len(args.deg) != 1:
         raise argparse.ArgumentTypeError("secant-dim takes a single degree")
     chart = VeroneseChart(w, args.deg[0])
-    report = secant_dimension(chart, args.rank, seed=args.seed, trials=args.trials, field=_field_of(args))
+    report = secant_dimension(chart, args.rank, seed=args.seed, trials=args.trials, field=args.field)
     body = report.to_json_dict()
     columns = ["d", "r", "expected_dim", "actual_dim", "defect", "trials"]
-    _render(args, _meta(args, "secant-dim", w), body, columns, [body])
+    _render(args, _meta(args), body, columns, [body])
     return 0
 
 
@@ -310,7 +307,7 @@ def cmd_bound_check(args) -> int:
     w = args.weights
     if len(w) != 3 or w[0] != 1:
         raise argparse.ArgumentTypeError("bound-check needs weights 1,b,c")
-    meta = _meta(args, "bound-check", w)
+    meta = _meta(args)
     try:
         report = interpolation_bound_check(w[1], w[2], args.deg)
     except BoundViolationError as err:
@@ -328,7 +325,7 @@ def cmd_verify_suite(args) -> int:
         raise argparse.ArgumentTypeError("--max-deg must be at least 6, where the scans start")
     if args.max_bc < 1:
         raise argparse.ArgumentTypeError("--max-bc must be at least 1")
-    meta = _meta(args, "verify-suite", None)
+    meta = _meta(args)
     meta["max_deg"] = str(args.max_deg)
     meta["max_bc"] = str(args.max_bc)
     checks = []
@@ -368,16 +365,18 @@ def _add_output(sub):
     sub.add_argument("--output", help="write to this file instead of stdout")
 
 
-def _add_common(sub, sampling=True):
-    sub.add_argument("--weights", type=_parse_weights, required=True,
+def _add_common(sub, sampling=True, weights=_parse_weights):
+    sub.add_argument("--weights", type=weights, required=True,
                      help="comma-separated positive weights, e.g. 1,2,3")
     _add_output(sub)
     if sampling:
         sub.add_argument("--seed", default=0, help="base seed for all sampling")
         sub.add_argument("--trials", type=int, default=3, help="sampling trials per degree")
         group = sub.add_mutually_exclusive_group()
-        group.add_argument("--prime", type=int, help="work over this fixed prime")
-        group.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+        group.add_argument("--prime", type=int, dest="field", metavar="PRIME",
+                           help="work over this fixed prime")
+        group.add_argument("--exact", action="store_const", const="exact", dest="field",
+                           help="exact rational arithmetic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_terracini_trace)
 
     p = subs.add_parser("point-ideal", help="generators of a point's ideal")
-    _add_common(p, sampling=False)
+    _add_common(p, sampling=False, weights=_parse_typed_weights)
     p.add_argument("--point", type=_parse_point, required=True,
                    help="comma-separated coordinates; fractions allowed")
     p.set_defaults(func=cmd_point_ideal)
@@ -447,9 +446,6 @@ def main(argv=None) -> int:
     except (UnsupportedWeightsError, UnsupportedConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BoundViolationError as err:
-        print(f"verification failure: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

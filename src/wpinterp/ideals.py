@@ -2,8 +2,8 @@
 
 A point is a nonzero coordinate tuple up to the weighted scaling
 lambda . (p_0, ..., p_n) = (lambda^{a_0} p_0, ..., lambda^{a_n} p_n).
-Equivalence is decided exactly, over the algebraic closure, by a gcd
-argument on the weights at the nonzero slots.
+Equivalence is decided exactly, over the algebraic closure, by a power
+identity between each pair of coordinate ratios.
 
 Generators of the vanishing ideal are produced for three families:
 the weighted line P(a, b), the weighted plane P(a, b, c), and any space
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .grading import UnsupportedWeightsError, Weights
 
@@ -36,25 +37,23 @@ def _variable_names(n: int) -> list[str]:
     return [f"x{i}" for i in range(n + 1)]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SparsePoly:
     """A polynomial stored as {exponent tuple: coefficient}, zero terms dropped."""
 
-    __slots__ = ("weights", "terms")
+    weights: Weights
+    terms: dict
 
-    def __init__(self, weights: Weights, terms):
-        object.__setattr__(self, "weights", weights)
+    def __post_init__(self):
         clean = {}
-        for expo, coeff in dict(terms).items():
+        for expo, coeff in dict(self.terms).items():
             expo = tuple(int(e) for e in expo)
-            if len(expo) != len(weights):
+            if len(expo) != len(self.weights):
                 raise ValueError("exponent length does not match the weights")
             coeff = Fraction(coeff)
             if coeff:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -89,13 +88,6 @@ class SparsePoly:
                 new[j] -= 1
                 out[tuple(new)] = out.get(tuple(new), Fraction(0)) + coeff * expo[j]
         return SparsePoly(self.weights, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePoly)
-            and self.weights == other.weights
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.weights, frozenset(self.terms.items())))
@@ -139,47 +131,27 @@ class SparsePoly:
         }
 
 
-def _bezout_for_subset(values):
-    """Coefficients c with sum(c_i * values_i) == gcd(values)."""
-    g, coeffs = values[0], [1] + [0] * (len(values) - 1)
-    for i in range(1, len(values)):
-        old = g
-        g = math.gcd(g, values[i])
-        # extended gcd of (old, values[i])
-        r0, r1, s0, s1 = old, values[i], 1, 0
-        t0, t1 = 0, 1
-        while r1:
-            q, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        coeffs = [c * s0 for c in coeffs]
-        coeffs[i] = t0
-    return g, coeffs
-
-
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class WeightedPoint:
-    """A point of P(a_0..a_n) with exact rational coordinates."""
+    """A point of P(a_0..a_n) with exact rational coordinates, weights in ascending order."""
 
-    __slots__ = ("weights", "coords")
+    weights: Weights
+    coords: tuple
 
-    def __init__(self, weights: Weights, coords):
-        weights = Weights(weights)
-        coords = tuple(Fraction(c) for c in coords)
+    def __post_init__(self):
+        weights = Weights(self.weights)
+        if list(weights) != [int(a) for a in self.weights]:
+            raise ValueError(
+                f"weights {tuple(self.weights)} are not in ascending order;"
+                " give the coordinates in ascending order of their weights"
+            )
+        coords = tuple(Fraction(c) for c in self.coords)
         if len(coords) != len(weights):
             raise ValueError("coordinate length does not match the weights")
         if not any(coords):
             raise ValueError("all coordinates vanish")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedPoint is immutable")
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
 
     def __repr__(self):
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
@@ -195,7 +167,7 @@ class WeightedPoint:
 
     def canonical(self) -> "WeightedPoint":
         """Scale the first weight-one nonzero coordinate to 1, when one exists."""
-        for i, (a, c) in enumerate(zip(self.weights, self.coords)):
+        for a, c in zip(self.weights, self.coords):
             if a == 1 and c:
                 return self.scaled(1 / c)
         return self
@@ -203,23 +175,20 @@ class WeightedPoint:
     def is_equivalent(self, other: "WeightedPoint") -> bool:
         """Exact test for equality under the scaling action, over the closure.
 
-        A scalar lambda with lambda^{a_i} = p_i/q_i for every nonzero slot
-        exists iff the product mu of (p_i/q_i)^{c_i}, with sum c_i a_i equal
-        to the gcd g of the involved weights, satisfies mu^{a_i/g} = p_i/q_i
-        throughout.  Roots of mu are taken in the algebraic closure, so only
-        these rational identities are needed.
+        Let g be the gcd of the weights a_i at the nonzero slots, b_i = a_i/g
+        and r_i = p_i/q_i.  A lambda with lambda^{a_i} = r_i at every nonzero
+        slot exists iff r_i^{b_j} = r_j^{b_i} for every pair i, j.  Necessity:
+        both sides equal mu^{b_i b_j}, where mu = lambda^g.  Sufficiency: with
+        sum c_i b_i = 1, mu = prod r_i^{c_i} has mu^{b_j} = prod r_i^{c_i b_j}
+        = prod r_j^{c_i b_i} = r_j, and a g-th root of mu in the closure is one.
         """
         if not isinstance(other, WeightedPoint) or self.weights != other.weights:
             return False
         if any((p == 0) != (q == 0) for p, q in zip(self.coords, other.coords)):
             return False
-        live = [i for i, p in enumerate(self.coords) if p]
-        ratios = {i: self.coords[i] / other.coords[i] for i in live}
-        g, coeffs = _bezout_for_subset([self.weights[i] for i in live])
-        mu = Fraction(1)
-        for i, c in zip(live, coeffs):
-            mu *= ratios[i] ** c
-        return all(mu ** (self.weights[i] // g) == ratios[i] for i in live)
+        live = [(a, p / q) for a, p, q in zip(self.weights, self.coords, other.coords) if p]
+        g = math.gcd(*(a for a, _ in live))
+        return all(r ** (b // g) == s ** (a // g) for (a, r), (b, s) in combinations(live, 2))
 
     def __eq__(self, other):
         return self.is_equivalent(other)
@@ -354,21 +323,10 @@ def point_ideal_hyperplane_case(point: WeightedPoint) -> list[SparsePoly]:
         raise UnsupportedConfigurationError(
             "no nonzero weight-one coordinate; this case is not implemented"
         )
-    pt = point.coords[t]
-    gens = []
-    for j in range(len(w)):
-        if j == t:
-            continue
-        aj = w[j]
-        terms = {}
-        expo_t = [0] * len(w)
-        expo_t[t] = aj
-        terms[tuple(expo_t)] = point.coords[j]
-        expo_j = [0] * len(w)
-        expo_j[j] = 1
-        terms[tuple(expo_j)] = terms.get(tuple(expo_j), 0) - pt**aj
-        gens.append(SparsePoly(w, terms))
-    return gens
+    n, pt = len(w), point.coords[t]
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return [SparsePoly(w, {tuple(a * e for e in unit[t]): p, unit[j]: -(pt**a)})
+            for j, (a, p) in enumerate(zip(w, point.coords)) if j != t]
 
 
 def point_ideal(point: WeightedPoint) -> list[SparsePoly]:

@@ -559,6 +559,8 @@ class TraceReport(NamedTuple):
 
 def terracini_trace(weights, d: int, r: int, seed=0, trials: int = 3) -> TraceReport:
     """Build and check the certificate for (d, r); on other weights, list the candidate steps."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     w = Weights(weights)
     if _certifiable(w):
         try:

@@ -188,19 +188,20 @@ class FatPointConfig:
 
     def __post_init__(self):
         w = Weights(self.weights)
-        object.__setattr__(self, "weights", w)
         mults = tuple(int(m) for m in self.multiplicities)
         if any(m < 1 for m in mults):
             raise ValueError("multiplicities must be positive")
         object.__setattr__(self, "multiplicities", mults)
         if self.points is not None:
+            # each point pairs its coordinates with the weights in the caller's order
             pts = tuple(
-                p if isinstance(p, WeightedPoint) else WeightedPoint(w, p)
+                p if isinstance(p, WeightedPoint) else WeightedPoint(self.weights, p)
                 for p in self.points
             )
             if len(pts) != len(mults):
                 raise ValueError("points and multiplicities differ in length")
             object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
         if self.field not in (None, "exact"):
             object.__setattr__(self, "field", int(self.field))
         if self.trials < 1:

@@ -542,6 +542,28 @@ def test_zero_point_is_reported(capsys):
     assert err == "error: all coordinates vanish\n"
 
 
+def test_point_ideal_refuses_weights_out_of_order(capsys):
+    # Weights sorts 3,1,2 to 1,2,3; pairing 5,0,7 with that order would move the zero
+    code, out, err = run(capsys, ["point-ideal", "--weights", "3,1,2", "--point", "5,0,7"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: weights (3, 1, 2) are not in ascending order;"
+        " give the coordinates in ascending order of their weights\n"
+    )
+
+
+@pytest.mark.parametrize("weights", ["1,2,3", "1,1,1", "1,1,2"])
+def test_trace_zero_trials_is_an_error(capsys, weights):
+    code, out, err = run(
+        capsys,
+        ["terracini-trace", "--weights", weights, "--deg", "5", "--points", "2", "--trials", "0"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: trials must be positive\n"
+
+
 def test_secant_dim_degree_too_small(capsys):
     code, _, err = run(
         capsys, ["secant-dim", "--weights", "1,2,3", "--deg", "2", "--rank", "2"]

@@ -1,5 +1,6 @@
 """Point ideals, scaling equivalence, and monomial-curve relations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wpinterp import (
     SparsePoly,
+    UnsupportedConfigurationError,
     UnsupportedWeightsError,
     WeightedPoint,
     Weights,
@@ -37,6 +39,37 @@ def brute_minimal_relation(lhs, mid, low):
             if rem % low == 0:
                 return r, k, rem // low
     raise AssertionError("no relation found")
+
+
+def bezout_equivalent(p, q):
+    """Scaling equivalence as ideals decided it with an extended Euclid.
+
+    mu is the product of (p_i/q_i)^{c_i} with sum c_i a_i = g, the gcd of
+    the weights at the nonzero slots; a scalar exists iff mu^{a_i/g} equals
+    every p_i/q_i.
+    """
+    if not isinstance(q, WeightedPoint) or p.weights != q.weights:
+        return False
+    if any((x == 0) != (y == 0) for x, y in zip(p.coords, q.coords)):
+        return False
+    live = [i for i, x in enumerate(p.coords) if x]
+    values = [p.weights[i] for i in live]
+    g, coeffs = values[0], [1] + [0] * (len(values) - 1)
+    for i in range(1, len(values)):
+        old = g
+        g = math.gcd(g, values[i])
+        r0, r1, s0, s1 = old, values[i], 1, 0
+        t0, t1 = 0, 1
+        while r1:
+            quo, (r0, r1) = r0 // r1, (r1, r0 - (r0 // r1) * r1)
+            s0, s1 = s1, s0 - quo * s1
+            t0, t1 = t1, t0 - quo * t1
+        coeffs = [c * s0 for c in coeffs]
+        coeffs[i] = t0
+    mu = Fraction(1)
+    for i, c in zip(live, coeffs):
+        mu *= (p.coords[i] / q.coords[i]) ** c
+    return all(mu ** (p.weights[i] // g) == p.coords[i] / q.coords[i] for i in live)
 
 
 def test_sparse_poly_drops_zero_terms():
@@ -88,11 +121,41 @@ def test_sparse_poly_equality_and_json():
         SparsePoly(W123, {(1, 0): 1})
 
 
+def test_records_are_immutable():
+    poly = SparsePoly(W123, {(2, 0, 0): 1})
+    point = WeightedPoint(W123, (1, 2, 3))
+    with pytest.raises(AttributeError):
+        poly.terms = {}
+    with pytest.raises(AttributeError):
+        point.coords = (1, 1, 1)
+    assert poly.terms == {(2, 0, 0): 1}
+    assert point.coords == (1, 2, 3)
+
+
+def test_reprs():
+    assert repr(SparsePoly(W123, {(2, 0, 0): 1, (0, 1, 0): -1})) == "SparsePoly(z^2 - u)"
+    assert repr(SparsePoly(W123, {})) == "SparsePoly(0)"
+    assert repr(WeightedPoint(W123, (Fraction(1, 2), 1, 0))) == "[1/2 : 1 : 0]"
+
+
+def test_sparse_poly_rejects_exponents_of_the_wrong_length():
+    with pytest.raises(ValueError, match="exponent length does not match the weights"):
+        SparsePoly(W123, {(1, 0, 0, 0): 1})
+
+
 def test_weighted_point_validation():
     with pytest.raises(ValueError):
         WeightedPoint(W123, (0, 0, 0))
     with pytest.raises(ValueError):
         WeightedPoint(W123, (1, 2))
+
+
+def test_weighted_point_refuses_weights_out_of_order():
+    # Weights would sort (3, 1, 2) and pair 5, 0, 7 with 1, 2, 3: another point
+    with pytest.raises(ValueError, match=r"weights \(3, 1, 2\) are not in ascending order"):
+        WeightedPoint((3, 1, 2), (5, 0, 7))
+    assert WeightedPoint((1, 1, 2), (1, 2, 3)).weights == (1, 1, 2)  # ties keep their order
+    assert type(WeightedPoint([1, 2, 3], (5, 0, 7)).weights) is Weights
 
 
 def test_scaled_points_are_equivalent():
@@ -122,6 +185,56 @@ def test_equivalence_beyond_rational_scalings():
     assert not WeightedPoint(w47, (1, 1)).is_equivalent(WeightedPoint(w47, (2, 2)))
 
 
+def test_scaling_by_zero_is_refused():
+    with pytest.raises(ValueError, match="scaling factor must be nonzero"):
+        WeightedPoint(W123, (1, 2, 3)).scaled(0)
+
+
+def test_equivalence_needs_a_point_of_the_same_weights():
+    pt = WeightedPoint(W123, (1, 1, 1))
+    assert not pt.is_equivalent(WeightedPoint(Weights((1, 1, 2)), (1, 1, 1)))
+    assert not pt.is_equivalent((1, 1, 1))
+    assert pt != (1, 1, 1)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def point_pairs(draw):
+    """(p, q) on 1-4 weights up to 12: q is p scaled by a rational, or drawn on its own."""
+    w = Weights(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    coords = st.lists(SMALL_RATIONALS, min_size=len(w), max_size=len(w)).filter(any)
+    p = WeightedPoint(w, draw(coords))
+    if draw(st.booleans()):
+        return p, p.scaled(draw(SMALL_RATIONALS.filter(bool)))
+    return p, WeightedPoint(w, draw(coords))
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_pairs())
+def test_equivalence_matches_the_bezout_reference(pair):
+    p, q = pair
+    assert p.is_equivalent(q) == bezout_equivalent(p, q)
+    assert q.is_equivalent(p) == bezout_equivalent(q, p)
+
+
+@pytest.mark.parametrize(
+    "weights,p,q,expected",
+    [
+        ((2, 4), (1, 1), (-1, 1), True),
+        ((2, 3), (1, 1), (4, 8), True),
+        ((2, 3), (1, 1), (4, -8), True),
+        ((4, 7), (1, 1), (2, 2), False),
+    ],
+)
+def test_roots_of_unity_cases_match_the_bezout_reference(weights, p, q, expected):
+    w = Weights(weights)
+    p, q = WeightedPoint(w, p), WeightedPoint(w, q)
+    assert p.is_equivalent(q) is expected
+    assert bezout_equivalent(p, q) is expected
+
+
 def test_equivalence_zero_patterns():
     a = WeightedPoint(W123, (0, 1, 1))
     b = WeightedPoint(W123, (1, 1, 1))
@@ -135,6 +248,13 @@ def test_canonical_pins_first_unit_coordinate():
     canon = pt.canonical()
     assert canon.coords == (1, Fraction(3, 4), Fraction(5, 8))
     assert pt.is_equivalent(canon)
+
+
+def test_canonical_without_a_unit_coordinate_is_the_point():
+    for weights, coords in (((2, 3), (1, 1)), ((1, 2, 3), (0, 2, 5))):
+        pt = WeightedPoint(Weights(weights), coords)
+        assert pt.canonical() == pt
+        assert pt.canonical().coords == pt.coords
 
 
 @pytest.mark.parametrize(
@@ -186,6 +306,23 @@ def test_point_ideal_line():
             assert gen.evaluate(pt.coords) == 0
             # the generator must vanish on the whole orbit, not only the representative
             assert gen.evaluate(pt.scaled(3).coords) == 0
+
+
+def test_point_ideal_dispatches_a_line_point():
+    pt = WeightedPoint(Weights((2, 3)), (1, 2))
+    assert point_ideal(pt) == point_ideal_line(pt)
+    assert [str(g) for g in point_ideal(pt)] == ["4*z^3 - u^2"]
+
+
+def test_line_and_plane_recipes_refuse_what_they_do_not_cover():
+    with pytest.raises(UnsupportedConfigurationError, match="weighted line"):
+        point_ideal_line(WeightedPoint(W123, (1, 1, 1)))
+    with pytest.raises(UnsupportedWeightsError, match="coprime"):
+        point_ideal_line(WeightedPoint(Weights((2, 4)), (1, 1)))
+    with pytest.raises(UnsupportedConfigurationError, match="weighted plane"):
+        point_ideal_plane(WeightedPoint(Weights((2, 3)), (1, 1)))
+    with pytest.raises(UnsupportedWeightsError, match="well formed"):
+        point_ideal_plane(WeightedPoint(Weights((1, 2, 2)), (1, 1, 1)))
 
 
 def test_point_ideal_plane_interior_point():
@@ -299,7 +436,20 @@ def test_point_ideal_hyperplane_case():
     assert point_ideal(pt) == gens
 
 
+def test_point_ideal_hyperplane_case_names_four_variables():
+    pt = WeightedPoint(Weights((1, 2, 3, 4)), (1, 2, 3, 4))
+    gens = point_ideal(pt)
+    assert [str(g) for g in gens] == ["2*x0^2 - x1", "3*x0^3 - x2", "4*x0^4 - x3"]
+    assert all(evaluate(g, pt) == 0 for g in gens)
+
+
 def test_evaluate_helper():
     pt = WeightedPoint(W123, (1, 1, 1))
     poly = SparsePoly(W123, {(0, 3, 0): 1, (0, 0, 2): -1})
     assert evaluate(poly, pt) == 0
+
+
+def test_evaluate_refuses_a_point_of_other_weights():
+    poly = SparsePoly(W123, {(0, 3, 0): 1, (0, 0, 2): -1})
+    with pytest.raises(ValueError, match="different spaces"):
+        evaluate(poly, WeightedPoint(Weights((1, 1, 2)), (1, 1, 1)))

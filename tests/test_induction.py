@@ -721,6 +721,63 @@ def test_read_back_shares_only_identical_copies():
     ]
 
 
+def _read_back_failures(cert, edit=lambda payload: None):
+    """The checker's failures on a JSON copy of cert, after edit(payload)."""
+    payload = json.loads(certificate_to_json(cert))
+    edit(payload)
+    failures = []
+    assert not check_certificate(certificate_from_json(json.dumps(payload)), failures)
+    return failures
+
+
+def test_checker_rejects_an_unknown_node_kind():
+    def edit(payload):
+        payload["root"]["kind"] = "guess"
+
+    assert _read_back_failures(build_certificate(W123, 20, 14), edit) == [
+        "root: unknown node kind 'guess'"
+    ]
+
+
+def test_checker_rejects_a_step_with_two_children():
+    def edit(payload):
+        payload["root"]["children"].pop()
+
+    assert _read_back_failures(build_certificate(W123, 20, 14), edit) == [
+        "root: expected 3 children, found 2"
+    ]
+
+
+def test_checker_rejects_a_legal_choice_whose_trace_criterion_fails():
+    choice = {"index": 2, "weight": 3, "q": 3, "direction": "fill"}
+    assert TerraciniChoice(**choice) in induction.terracini_candidates(W123, 6, 3)
+    assert not chandler_inequality(W123, 6, 3, 3, 3).ok
+    edited = []
+
+    def edit(payload):
+        for node in _nodes(payload["root"]):
+            if _key("terracini", 6, 3)(node):
+                node["choice"] = dict(choice)
+                edited.append(node)
+
+    failures = _read_back_failures(build_certificate(W123, 20, 14), edit)
+    trace = [f for f in failures if f.endswith("/children[0]: trace criterion fails on recomputation")]
+    assert len(edited) == len(trace) == 2
+
+
+def test_checker_resamples_each_base_rank(monkeypatch):
+    cert = build_certificate(W123, 20, 14)
+    _fail_base_cases(monkeypatch, lambda d, r: (d, r) == (5, 2))
+    failures = _read_back_failures(cert)
+    assert len(failures) == 5  # one per path to the shared base node (5, 2)
+    assert all(f.endswith(": base rank 4 != expected 5 at d=5, r=2") for f in failures)
+
+
+def test_certificate_from_json_refuses_text_that_is_not_json():
+    with pytest.raises(CertificateError, match="not JSON"):
+        certificate_from_json("{")
+
+
 def _document(root) -> str:
     return json.dumps({"schema": "wpinterp/certificate/v1", "root": root})
 

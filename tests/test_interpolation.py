@@ -309,6 +309,26 @@ def test_config_validation():
         FatPointConfig(W123, (2,), trials=0)
 
 
+def test_config_points_follow_the_weights_as_given():
+    with pytest.raises(ValueError, match="not in ascending order"):
+        FatPointConfig((3, 1, 2), (2,), points=((5, 0, 7),))
+    cfg = FatPointConfig((1, 2, 3), (2,), points=((0, 5, 7),))
+    assert cfg.points[0].coords == (0, 5, 7)
+    # without explicit points the order of the weights does not matter
+    assert FatPointConfig((3, 1, 2), (2,)).weights == (1, 2, 3)
+
+
+def test_matrix_refuses_a_denominator_that_vanishes_mod_the_prime():
+    cfg = FatPointConfig(W123, (1,), points=((Fraction(1, 7), 1, 1),), field=7)
+    with pytest.raises(ValueError, match="denominator vanishes mod the prime"):
+        build_evaluation_matrix(cfg, 3)
+
+
+def test_matrix_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        build_evaluation_matrix(FatPointConfig(W123, (2,)), -1)
+
+
 def test_field_too_small():
     cfg = FatPointConfig(W123, (2,), field=7)
     with pytest.raises(FieldTooSmallError):

@@ -462,3 +462,10 @@ def test_exact_rank_keeps_the_prime_with_the_latest_dependent_rows():
     p = _prime_below(1 << 61)
     assert group_ranks_exact([[1, 0], [1, p], [0, 1]], [1, 1, 1]) == [1, 2, 2]
     assert nullspace_exact([[1, 1, 0], [0, p, 1]], 3) == [[Fraction(1, p), Fraction(-1, p), 1]]
+
+
+def test_exact_ranks_skip_a_prime_with_fewer_dependent_rows():
+    # Mod q the second row reads (1, 0, 0), so it is dependent there and the
+    # third is not: q's list [1] is below the other primes' [2] and is skipped.
+    q = _prime_below(_prime_below(1 << 61))
+    assert group_ranks_exact([[1, 0, 0], [1, q, 0], [0, 1, 0]], [1, 1, 1]) == [1, 2, 2]
